@@ -5,13 +5,15 @@ Gaussian field is a pure function of (noise_seed, stage index, image shape),
 so a sender simulating the channel with the receiver's seed reproduces the
 receiver's lossy image exactly. `apply` is the hard channel; `apply_smooth`
 is the optimizer-facing surrogate: straight-through quantization and a soft
-clip that is identity on [-1+m, 1-m].
+clip that is identity on [-1+m, 1-m]. Both run a `ChannelPlan`, compiled
+once per (spec, image shape): the seeded noise fields are drawn once, and
+the rescale operators and their transposes are built once.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
@@ -99,6 +101,11 @@ def _noise_field(spec: ChannelSpec, index: int, shape: tuple) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @lru_cache(maxsize=64)
 def _interp_matrix(n_out: int, n_in: int) -> np.ndarray:
     """Bilinear (half-pixel convention) 1-D interpolation matrix."""
@@ -110,7 +117,7 @@ def _interp_matrix(n_out: int, n_in: int) -> np.ndarray:
     w1 = src - i0
     m[np.arange(n_out), i0] += 1.0 - w1
     m[np.arange(n_out), i1] += w1
-    return m
+    return _read_only(m)
 
 
 @lru_cache(maxsize=64)
@@ -124,6 +131,7 @@ def _rescale_matrices(n: int, factor: float) -> tuple[np.ndarray, np.ndarray]:
         a = _interp_matrix(n, n_high) @ _interp_matrix(n_high, n)
     else:
         a = np.eye(n)
+    a = _read_only(a)
     return a, a.T
 
 
@@ -138,70 +146,144 @@ def _quantize_values(x: np.ndarray, levels: int) -> np.ndarray:
     return np.round((x + 1.0) / 2.0 * (levels - 1)) / (levels - 1) * 2.0 - 1.0
 
 
-def _soft_clip(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C1 clip: identity inside [-(1-m), 1-m], saturating to +-1 outside."""
+def _soft_clip(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """C1 clip: identity inside [-(1-m), 1-m], saturating to +-1 outside.
+
+    Returns (y, dy). When no element lies outside the margin, y is x itself
+    and dy is None (the identity Jacobian). Otherwise `exp` runs only on the
+    elements outside, and y and dy keep x's memory layout, which fixes the
+    summation order of any norm taken over them.
+    """
     m = _SOFT_MARGIN
-    absx = np.abs(x)
-    outside = absx > 1.0 - m
-    decay = np.exp(-(np.maximum(absx - (1.0 - m), 0.0)) / m)
-    y = np.where(outside, np.sign(x) * (1.0 - m * decay), x)
-    dy = np.where(outside, decay, 1.0)
+    if not (np.abs(x) > 1.0 - m).any():
+        return x, None
+    y = x.copy(order="K")
+    dy = np.ones_like(y)
+    # y and dy are dense with equal strides, so their memory-order flat
+    # forms are views that index the same elements
+    flat_y, flat_dy = y.ravel(order="K"), dy.ravel(order="K")
+    absx = np.abs(flat_y)
+    idx = np.flatnonzero(absx > 1.0 - m)
+    decay = np.exp(-(absx[idx] - (1.0 - m)) / m)
+    flat_y[idx] = np.sign(flat_y[idx]) * (1.0 - m * decay)
+    flat_dy[idx] = decay
     return y, dy
 
 
-def _run_stages(spec: ChannelSpec, image: np.ndarray, smooth: bool,
-                tape: list | None) -> np.ndarray:
-    x = np.asarray(image, dtype=np.float64)
-    for idx, stage in enumerate(spec.stages):
+@dataclass(frozen=True, eq=False)
+class _AddNoise:
+    noise: np.ndarray       # sigma times the frozen Gaussian field
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x + self.noise
+
+
+@dataclass(frozen=True)
+class _Quantize:
+    levels: int
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return _quantize_values(x, self.levels)
+
+
+@dataclass(frozen=True, eq=False)
+class _Rescale:
+    ah: np.ndarray
+    aw: np.ndarray
+    aht: np.ndarray
+    awt: np.ndarray
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return _apply_separable(self.ah, self.aw, x)
+
+    def pullback(self, g: np.ndarray) -> np.ndarray:
+        return _apply_separable(self.aht, self.awt, g)
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelPlan:
+    """A channel compiled for one image shape: built once, then only read.
+
+    `ops` are the stages that change an image, in channel order. Gaussian
+    and quantize stages pass gradients straight through, so the backward
+    pass needs only the rescale stages, held last-first in `pullbacks`.
+    """
+
+    ops: tuple[_AddNoise | _Quantize | _Rescale, ...]
+    pullbacks: tuple[_Rescale, ...]
+
+    def run(self, image: np.ndarray) -> np.ndarray:
+        x = np.asarray(image, dtype=np.float64)
+        for op in self.ops:
+            x = op.forward(x)
+        return x
+
+    def smooth(self,
+               image: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        x = self.run(image)
+        # with no stages, x may be the caller's array; never hand it back
+        return _soft_clip(x if self.ops else x.copy(order="K"))
+
+
+@lru_cache(maxsize=16)
+def compile_channel(spec: ChannelSpec, shape: tuple) -> ChannelPlan:
+    """The plan of `spec` for images of `shape`, cached per (spec, shape).
+
+    A plan holds only constants that are pure functions of the public spec
+    (noise fields, quantize levels, rescale operators), all read-only.
+    """
+    ops: list = []
+    for index, stage in enumerate(spec.stages):
         if isinstance(stage, GaussianStage):
             if stage.sigma > 0.0:
-                x = x + stage.sigma * _noise_field(spec, idx, x.shape)
-            if tape is not None:
-                tape.append(("identity", None))
+                noise = stage.sigma * _noise_field(spec, index, shape)
+                ops.append(_AddNoise(_read_only(noise)))
         elif isinstance(stage, QuantizeStage):
-            x = _quantize_values(x, stage.levels)
-            if tape is not None:
-                tape.append(("identity", None))  # straight-through
+            ops.append(_Quantize(stage.levels))
         elif isinstance(stage, RescaleStage):
-            ah, aht = _rescale_matrices(x.shape[0], stage.factor)
-            aw, awt = _rescale_matrices(x.shape[1], stage.factor)
-            x = _apply_separable(ah, aw, x)
-            if tape is not None:
-                tape.append(("rescale", (aht, awt)))
-    if smooth:
-        y, dy = _soft_clip(x)
-        if tape is not None:
-            tape.append(("diag", dy))
-        return y
-    return np.clip(x, -1.0, 1.0)
+            ah, aht = _rescale_matrices(shape[0], stage.factor)
+            aw, awt = _rescale_matrices(shape[1], stage.factor)
+            ops.append(_Rescale(ah, aw, aht, awt))
+    pullbacks = tuple(op for op in reversed(ops) if isinstance(op, _Rescale))
+    return ChannelPlan(tuple(ops), pullbacks)
+
+
+@dataclass(frozen=True, eq=False)
+class Tape:
+    """What `backward` needs from one smooth forward pass."""
+
+    plan: ChannelPlan
+    clip_grad: np.ndarray | None    # soft-clip derivative; None = identity
+
+
+def _plan(spec: ChannelSpec, image: np.ndarray) -> ChannelPlan:
+    return compile_channel(spec, np.shape(image))
 
 
 def apply(spec: ChannelSpec, image: np.ndarray) -> np.ndarray:
     """Hard channel: stages in order, output clamped to [-1, 1]."""
-    return _run_stages(spec, image, smooth=False, tape=None)
+    return np.clip(_plan(spec, image).run(image), -1.0, 1.0)
 
 
 def apply_smooth(spec: ChannelSpec, image: np.ndarray) -> np.ndarray:
     """Differentiable surrogate used inside the optimization loop."""
-    return _run_stages(spec, image, smooth=True, tape=None)
+    return _plan(spec, image).smooth(image)[0]
 
 
 def apply_smooth_with_tape(spec: ChannelSpec,
-                           image: np.ndarray) -> tuple[np.ndarray, list]:
-    tape: list = []
-    out = _run_stages(spec, image, smooth=True, tape=tape)
-    return out, tape
+                           image: np.ndarray) -> tuple[np.ndarray, Tape]:
+    plan = _plan(spec, image)
+    out, clip_grad = plan.smooth(image)
+    return out, Tape(plan, clip_grad)
 
 
-def backward(tape: list, grad_out: np.ndarray) -> np.ndarray:
-    """Pull an output-space gradient back to the channel input."""
-    g = grad_out
-    for kind, payload in reversed(tape):
-        if kind == "identity":
-            continue
-        if kind == "diag":
-            g = g * payload
-        elif kind == "rescale":
-            aht, awt = payload
-            g = _apply_separable(aht, awt, g)
+def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
+    """Pull an output-space gradient back to the channel input.
+
+    Where the channel's Jacobian is the identity, grad_out itself is
+    returned.
+    """
+    g = grad_out if tape.clip_grad is None else grad_out * tape.clip_grad
+    for op in tape.plan.pullbacks:
+        g = op.pullback(g)
     return g

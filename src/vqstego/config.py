@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from .channel import ChannelSpec, parse_channel
 from .errors import MalformedInput
 from .optimizer import OptimConfig
+from .text_channel import word_list
 from .token_model import ModelSpec
 
 
@@ -49,6 +50,11 @@ class PipelineConfig:
             raise MalformedInput("image vocab must be >= 2")
         if self.grid_h < 1 or self.grid_w < 1 or self.patch < 1:
             raise MalformedInput("grid dimensions must be positive")
+        # each text token is rendered as one word of the word list
+        if self.text_model.vocab_size > len(word_list()):
+            raise MalformedInput(
+                f"text vocab {self.text_model.vocab_size} exceeds the "
+                f"{len(word_list())}-word list")
 
     @property
     def n_tokens(self) -> int:

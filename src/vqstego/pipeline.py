@@ -25,7 +25,7 @@ from .codec import embed_sequence, extract_sequence
 from .config import PipelineConfig, dumps, loads
 from .ecc import EccEncodeResult, EccParams, ecc_decode, ecc_encode, position_cost_stats
 from .errors import (BudgetExceeded, CapacityExceeded, MalformedEcc,
-                     TruncatedFrame)
+                     MalformedInput, TruncatedFrame)
 from .optimizer import OptimReport, optimize_tokens
 from .text_channel import StegoText, embed_ecc, extract_ecc, render_words
 from .token_model import Condition, condition_from_key
@@ -339,6 +339,10 @@ def run_extract(cfg: PipelineConfig, image_path, text_path=None,
         key = derive_key(cfg)
     pipe = Pipeline.from_config(cfg)
     received = read_image(image_path)
+    expected = pipe.tokenizer.image_shape
+    if received.shape != expected:
+        raise MalformedInput(f"{image_path}: image shape {received.shape} "
+                             f"!= configured {expected}")
     text_tokens = None
     if text_path is not None:
         from .text_channel import parse_words
@@ -411,6 +415,13 @@ def sweep_variants(cfg: PipelineConfig, channels=None,
     return variants
 
 
+def worker_count(jobs: int, n_tasks: int, cpus: int | None) -> int:
+    """Sweep workers: `jobs`, clamped to the task count and the CPU count."""
+    if jobs < 1:
+        raise MalformedInput(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, n_tasks, cpus or 1)
+
+
 def run_sweep(cfg: PipelineConfig, channels=None, max_tokens=None,
               n_seeds: int = 5, jobs: int = 1,
               message_bits: int = 500) -> dict:
@@ -418,8 +429,9 @@ def run_sweep(cfg: PipelineConfig, channels=None, max_tokens=None,
     variants = sweep_variants(cfg, channels, max_tokens)
     tasks = [(label, dumps(vcfg), seed, message_bits)
              for label, vcfg in variants for seed in range(n_seeds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(tasks), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     else:
         rows = [_sweep_worker(t) for t in tasks]

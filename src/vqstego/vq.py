@@ -76,6 +76,10 @@ class Tokenizer:
         return self.grid_w * self.patch
 
     @property
+    def image_shape(self) -> tuple[int, int, int]:
+        return (self.height, self.width, _CHANNELS)
+
+    @property
     def n_cells(self) -> int:
         return self.grid_h * self.grid_w
 
@@ -110,9 +114,8 @@ class Tokenizer:
 
     def _patches(self, image: np.ndarray) -> np.ndarray:
         h, w, p = self.grid_h, self.grid_w, self.patch
-        if image.shape != (h * p, w * p, _CHANNELS):
-            raise ShapeMismatch(
-                f"image {image.shape} != {(h * p, w * p, _CHANNELS)}")
+        if image.shape != self.image_shape:
+            raise ShapeMismatch(f"image {image.shape} != {self.image_shape}")
         return (image.reshape(h, p, w, p, _CHANNELS)
                      .transpose(0, 2, 1, 3, 4)
                      .reshape(h * w, p * p * _CHANNELS))
@@ -168,6 +171,7 @@ def write_image(path, image: np.ndarray) -> None:
 
 
 def read_image(path) -> np.ndarray:
+    """Read a .vqi file; every pixel must be finite and in [-1, 1]."""
     try:
         return _read_image(path)
     except OSError as exc:
@@ -183,6 +187,10 @@ def _read_image(path) -> np.ndarray:
         data = np.frombuffer(f.read(), dtype="<f4")
     if data.size != h * w * c:
         raise MalformedInput(f"{path}: truncated pixel data")
+    if not np.all(np.isfinite(data)):
+        raise MalformedInput(f"{path}: non-finite pixel values")
+    if np.abs(data).max(initial=0.0) > 1.0:
+        raise MalformedInput(f"{path}: pixel values outside [-1, 1]")
     return data.reshape(h, w, c).astype(np.float64)
 
 

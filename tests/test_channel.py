@@ -12,6 +12,16 @@ def rand_image(seed=0, scale=0.5, shape=(96, 96, 3)):
     return scale * rng.uniform(-1, 1, shape)
 
 
+def reference_soft_clip(x):
+    """The soft clip's full formula, evaluated on every element."""
+    m = chan._SOFT_MARGIN
+    absx = np.abs(x)
+    outside = absx > 1.0 - m
+    decay = np.exp(-(np.maximum(absx - (1.0 - m), 0.0)) / m)
+    return (np.where(outside, np.sign(x) * (1.0 - m * decay), x),
+            np.where(outside, decay, 1.0))
+
+
 class TestParse:
     def test_round_trip(self):
         spec = parse_channel("gaussian:0.01,quantize:32,rescale:0.5", 7)
@@ -103,15 +113,35 @@ class TestSmoothSurrogate:
                               chan.apply(spec, img))
 
     def test_quantize_tape_is_straight_through(self):
+        # quantize then soft clip, all pixels inside the margin: both
+        # Jacobians are the identity, so the gradient passes unchanged
         spec = ChannelSpec((QuantizeStage(8),))
         _, tape = chan.apply_smooth_with_tape(spec, rand_image(7))
-        kinds = [k for k, _ in tape]
-        assert kinds == ["identity", "diag"]  # quantize then soft clip
+        w = rand_image(8)
+        assert tape.clip_grad is None
+        assert np.array_equal(chan.backward(tape, w), w)
 
     def test_soft_clip_identity_inside_margin(self):
         y, dy = chan._soft_clip(np.array([0.0, 0.5, -0.98]))
         assert np.array_equal(y, [0.0, 0.5, -0.98])
-        assert np.array_equal(dy, [1.0, 1.0, 1.0])
+        assert dy is None  # identity derivative
+
+    @pytest.mark.parametrize("scale, inside", [(0.5, True), (3.0, False)])
+    def test_soft_clip_matches_full_formula(self, scale, inside):
+        # the reference evaluates exp over every pixel; the values and the
+        # memory layout (which fixes a norm's summation order) must agree
+        ah, _ = chan._rescale_matrices(96, 0.5)
+        x = chan._apply_separable(ah, ah, rand_image(12, scale=scale))
+        assert not x.flags.c_contiguous
+        y, dy = chan._soft_clip(x)
+        want_y, want_dy = reference_soft_clip(x)
+        assert np.array_equal(y, want_y) and y.strides == want_y.strides
+        assert bool(np.all(np.abs(x) <= 0.99)) == inside
+        if inside:
+            assert dy is None and np.all(want_dy == 1.0)
+        else:
+            assert np.array_equal(dy, want_dy)
+            assert dy.strides == want_dy.strides
 
     def test_soft_clip_bounded_and_c1(self):
         x = np.linspace(-3, 3, 10001)
@@ -151,3 +181,33 @@ class TestSmoothSurrogate:
         spec = parse_channel("gaussian:0.1", 1)
         assert spec.with_seed(9).noise_seed == 9
         assert spec.with_seed(9).stages == spec.stages
+
+
+class TestPlan:
+    SPEC = "gaussian:0.01,quantize:32,rescale:0.5"
+    SHAPE = (96, 96, 3)
+
+    def test_cached_arrays_read_only(self):
+        plan = chan.compile_channel(parse_channel(self.SPEC, 3), self.SHAPE)
+        noise, _, rescale = plan.ops
+        assert plan.pullbacks == (rescale,)
+        for a in (noise.noise, rescale.ah, rescale.aw, rescale.aht,
+                  rescale.awt):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            noise.noise[0, 0, 0] = 0.0
+
+    def test_noise_drawn_from_seed(self):
+        spec = parse_channel(self.SPEC, 5)
+        first = chan.compile_channel(spec, self.SHAPE).ops[0].noise
+        chan.compile_channel.cache_clear()
+        again = chan.compile_channel(spec, self.SHAPE).ops[0].noise
+        other = chan.compile_channel(spec.with_seed(6), self.SHAPE).ops[0]
+        assert again is not first and np.array_equal(again, first)
+        assert np.array_equal(first,
+                              0.01 * chan._noise_field(spec, 0, self.SHAPE))
+        assert not np.array_equal(other.noise, first)
+
+    def test_zero_sigma_adds_nothing(self):
+        plan = chan.compile_channel(parse_channel("gaussian:0"), self.SHAPE)
+        assert plan.ops == ()

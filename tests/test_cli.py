@@ -1,10 +1,12 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from vqstego.cli import main
 from vqstego.config import default_config, dumps, loads
+from vqstego.vq import write_image
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,22 @@ class TestExitCodes:
         bad = tmp_path / "bad.vqi"
         bad.write_bytes(b"not an image at all")
         assert main(["extract", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("case", ["nan", "out_of_range", "wrong_size"])
+    def test_bad_image_is_malformed(self, tmp_path, capsys, case):
+        image = np.zeros((64, 64, 3) if case == "wrong_size" else (96, 96, 3))
+        if case == "nan":
+            image[5, 7, 1] = np.nan
+        elif case == "out_of_range":
+            image[:] = 5.0
+        path = tmp_path / f"{case}.vqi"
+        write_image(path, image)
+        assert main(["extract", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_zero_jobs_is_malformed(self, tmp_path):
+        assert main(["sweep", "--jobs", "0", "--seeds", "1",
+                     "--out", str(tmp_path)]) == 2
 
     def test_bad_config_is_malformed(self, tmp_path):
         ini = tmp_path / "bad.ini"

@@ -49,6 +49,13 @@ class TestConfig:
         with pytest.raises(MalformedInput):
             loads("[channel]\nspec = gaussian:-3\n")
 
+    def test_text_vocab_limited_to_word_list(self):
+        # a larger vocabulary would alias tokens onto the same word
+        assert loads("[text_model]\nvocab_size = 512\n") \
+            .text_model.vocab_size == 512
+        with pytest.raises(MalformedInput):
+            loads("[text_model]\nvocab_size = 513\n")
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(MalformedInput):
             load_config(tmp_path / "missing.ini")

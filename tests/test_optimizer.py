@@ -141,6 +141,20 @@ class TestOptimize:
         # running best is non-increasing by construction; final near best
         assert trace[-1] <= min(trace[:-1]) + 1e-3
 
+    def test_reused_plan_changes_nothing(self, tokenizer):
+        # the first call compiles the channel, the second reuses the cached
+        # plan; a plan mutated by a run would change the second result
+        spec = parse_channel("gaussian:0.01,quantize:32,rescale:0.5", 4)
+        grid, _, img = true_setup(tokenizer, 12)
+        received = chan.apply(spec, img)
+        chan.compile_channel.cache_clear()
+        runs = [optimize_tokens(received, spec, tokenizer,
+                                OptimConfig(steps=300)) for _ in range(2)]
+        (grid_a, rep_a), (grid_b, rep_b) = runs
+        assert np.array_equal(grid_a, grid_b)
+        assert rep_a.final_loss == rep_b.final_loss
+        assert rep_a.loss_trace == rep_b.loss_trace
+
     def test_golden_first_trace_values(self, tokenizer):
         # Cross-platform determinism: values frozen from a pinned run.
         spec = ChannelSpec((GaussianStage(0.02),), noise_seed=6)

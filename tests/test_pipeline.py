@@ -7,11 +7,11 @@ import pytest
 from vqstego import channel as chan
 from vqstego.bits import BitString, KeyedStream, StegoKey
 from vqstego.config import default_config
-from vqstego.errors import CapacityExceeded
+from vqstego.errors import CapacityExceeded, MalformedInput
 from vqstego.pipeline import (Pipeline, benchmark_run, derive_key,
                               embed_message, extract_message, run_attack,
                               run_embed, run_extract, run_sweep,
-                              sweep_variants)
+                              sweep_variants, worker_count)
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +188,18 @@ class TestSweep:
         assert row["error"] is not None
         assert "CapacityExceeded" in row["error"]
         assert result["aggregates"][0]["failed"] == 1
+
+    def test_worker_count_clamped(self):
+        assert worker_count(1, 10, 8) == 1
+        assert worker_count(4, 10, 8) == 4
+        assert worker_count(10**6, 3, 8) == 3
+        assert worker_count(10**6, 100, 2) == 2
+        assert worker_count(4, 10, None) == 1
+        assert worker_count(4, 0, 8) == 0
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, fast_cfg, jobs):
+        with pytest.raises(MalformedInput):
+            worker_count(jobs, 10, 8)
+        with pytest.raises(MalformedInput):
+            run_sweep(fast_cfg, n_seeds=1, jobs=jobs)
