@@ -77,8 +77,8 @@ def loss_and_gradient(latents: np.ndarray, received: np.ndarray,
                       config: OptimConfig = OptimConfig(),
                       ) -> tuple[float, np.ndarray]:
     """Analytic gradient via the chain rule; matches central differences."""
-    decoded = tokenizer.decode_continuous(
-        _forward_latents(latents, tokenizer, config))
+    decoded, cells = tokenizer.decode_continuous(
+        _forward_latents(latents, tokenizer, config), with_cells=True)
     if decoded.shape != received.shape:
         raise ShapeMismatch(f"{decoded.shape} vs {received.shape}")
     out, tape = chan.apply_smooth_with_tape(spec, decoded)
@@ -88,7 +88,7 @@ def loss_and_gradient(latents: np.ndarray, received: np.ndarray,
         return 0.0, np.zeros_like(latents)
     grad_out = -residual / value
     grad_decoded = chan.backward(tape, grad_out)
-    return value, tokenizer.grad_latents(grad_decoded, decoded)
+    return value, tokenizer.grad_latents(grad_decoded, cells)
 
 
 def optimize_tokens(received: np.ndarray, spec: ChannelSpec,

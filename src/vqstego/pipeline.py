@@ -331,6 +331,29 @@ def run_embed(cfg: PipelineConfig, message: BitString, out_dir,
     return manifest
 
 
+def _read_text_file(path, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput(
+            f"cannot read {what} file {path}: {exc}") from None
+
+
+def _read_truth(path, cfg: PipelineConfig) -> tuple[BitString, np.ndarray]:
+    """The truth sidecar `run_embed` writes: message bits and token grid."""
+    try:
+        truth = json.loads(_read_text_file(path, "truth"))
+        message, grid = truth["message"], np.asarray(truth["grid"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"{path}: not a truth file: {exc!r}") from None
+    if (not isinstance(message, str) or grid.shape != (cfg.n_tokens,)
+            or not np.issubdtype(grid.dtype, np.integer)):
+        raise MalformedInput(f"{path}: truth needs a 0/1 message string and "
+                             f"a grid of {cfg.n_tokens} integers")
+    return BitString.from01(message), grid.reshape(cfg.grid_h, cfg.grid_w)
+
+
 def run_extract(cfg: PipelineConfig, image_path, text_path=None,
                 key: StegoKey | None = None,
                 truth_path=None) -> tuple[BitString, dict]:
@@ -346,8 +369,8 @@ def run_extract(cfg: PipelineConfig, image_path, text_path=None,
     text_tokens = None
     if text_path is not None:
         from .text_channel import parse_words
-        with open(text_path) as f:
-            text_tokens = parse_words(f.read())
+        text_tokens = parse_words(_read_text_file(text_path, "text"))
+    truth = None if truth_path is None else _read_truth(truth_path, cfg)
     extracted = extract_message(pipe, key, received, text_tokens)
     info: dict = {
         "message_bits": len(extracted.message),
@@ -356,11 +379,8 @@ def run_extract(cfg: PipelineConfig, image_path, text_path=None,
         "final_loss": extracted.opt_report.final_loss,
         "opt_steps": extracted.opt_report.steps_run,
     }
-    if truth_path is not None:
-        with open(truth_path) as f:
-            truth = json.load(f)
-        true_message = BitString.from01(truth["message"])
-        true_grid = np.array(truth["grid"]).reshape(cfg.grid_h, cfg.grid_w)
+    if truth is not None:
+        true_message, true_grid = truth
         info.update({
             "r_q_stage1": _r_q(extracted.grid_stage1, true_grid),
             "r_q_stage2": _r_q(extracted.grid_stage2, true_grid),

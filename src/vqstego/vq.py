@@ -97,16 +97,22 @@ class Tokenizer:
             raise IndexOutOfRange("token index outside the codebook")
         return grid
 
-    def decode_continuous(self, latents: np.ndarray) -> np.ndarray:
-        """Affine map plus tanh squashing on raw latent vectors."""
+    def decode_continuous(self, latents: np.ndarray, with_cells: bool = False
+                          ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """Affine map plus tanh squashing on raw latent vectors.
+
+        With `with_cells`, also returns the tanh output in cell layout,
+        (cells, p*p*C), which `grad_latents` takes.
+        """
         h, w, p = self.grid_h, self.grid_w, self.patch
         if latents.shape != (h, w, self.codebook.dim):
             raise ShapeMismatch(f"latents {latents.shape}")
         pre = latents.reshape(h * w, -1) @ self.weight.T + self.bias
         x = np.tanh(self.alpha * pre)
-        return (x.reshape(h, w, p, p, _CHANNELS)
-                 .transpose(0, 2, 1, 3, 4)
-                 .reshape(h * p, w * p, _CHANNELS))
+        image = (x.reshape(h, w, p, p, _CHANNELS)
+                  .transpose(0, 2, 1, 3, 4)
+                  .reshape(h * p, w * p, _CHANNELS))
+        return (image, x) if with_cells else image
 
     def decode(self, grid: np.ndarray) -> np.ndarray:
         grid = self._check_grid(grid)
@@ -129,11 +135,14 @@ class Tokenizer:
         return z.reshape(self.grid_h, self.grid_w, self.codebook.dim)
 
     def grad_latents(self, image_grad: np.ndarray,
-                     decoded: np.ndarray) -> np.ndarray:
-        """Chain image-space gradient back through tanh and the affine map."""
+                     cells: np.ndarray) -> np.ndarray:
+        """Chain image-space gradient back through tanh and the affine map.
+
+        `cells` is the decoder's cell-layout tanh output, from
+        `decode_continuous(latents, with_cells=True)`.
+        """
         patches_g = self._patches(image_grad)
-        x = self._patches(decoded)
-        pre_g = patches_g * self.alpha * (1.0 - x * x)
+        pre_g = patches_g * self.alpha * (1.0 - cells * cells)
         return (pre_g @ self.weight).reshape(
             self.grid_h, self.grid_w, self.codebook.dim)
 

@@ -130,8 +130,8 @@ class TestSmoothSurrogate:
     def test_soft_clip_matches_full_formula(self, scale, inside):
         # the reference evaluates exp over every pixel; the values and the
         # memory layout (which fixes a norm's summation order) must agree
-        ah, _ = chan._rescale_matrices(96, 0.5)
-        x = chan._apply_separable(ah, ah, rand_image(12, scale=scale))
+        ah, _ = chan._rescale_banded(96, 0.5)
+        x = chan._apply_banded(ah, ah, rand_image(12, scale=scale))
         assert not x.flags.c_contiguous
         y, dy = chan._soft_clip(x)
         want_y, want_dy = reference_soft_clip(x)
@@ -191,8 +191,9 @@ class TestPlan:
         plan = chan.compile_channel(parse_channel(self.SPEC, 3), self.SHAPE)
         noise, _, rescale = plan.ops
         assert plan.pullbacks == (rescale,)
-        for a in (noise.noise, rescale.ah, rescale.aw, rescale.aht,
-                  rescale.awt):
+        operators = (rescale.ah, rescale.aw, rescale.aht, rescale.awt)
+        for a in (noise.noise, *(a for op in operators
+                                 for a in (op.blocks, op.blocks_t))):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             noise.noise[0, 0, 0] = 0.0
@@ -211,3 +212,41 @@ class TestPlan:
     def test_zero_sigma_adds_nothing(self):
         plan = chan.compile_channel(parse_channel("gaussian:0"), self.SHAPE)
         assert plan.ops == ()
+
+    def test_unit_rescale_adds_nothing(self):
+        plan = chan.compile_channel(parse_channel("rescale:1"), self.SHAPE)
+        assert plan.ops == () and plan.pullbacks == ()
+
+
+class TestBanded:
+    # each axis length with a partner of another length: a ragged last
+    # block (28, 12 against blocks of 16) and axes shorter than a block
+    SHAPES = [(96, 28), (28, 12), (12, 5), (5, 96)]
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("h, w", SHAPES)
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("layout", ["hwc", "hcw"])
+    def test_matches_dense_einsum(self, factor, h, w, transpose, layout):
+        x = rand_image(13, scale=1.0, shape=(h, w, 3))
+        if layout == "hcw":
+            x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+        pick = 1 if transpose else 0
+        ah = chan._rescale_matrices(h, factor)[pick]
+        aw = chan._rescale_matrices(w, factor)[pick]
+        bh = chan._rescale_banded(h, factor)[pick]
+        bw = chan._rescale_banded(w, factor)[pick]
+        got = chan._apply_banded(bh, bw, x)
+        want = np.einsum("ij,jkc,lk->ilc", ah, x, aw)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+        # (H, C, W) memory, the layout the dense tensordot produced
+        assert got.transpose(0, 2, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("factor, band", [(0.5, 2), (2.0, 1)])
+    def test_bandwidth(self, factor, band):
+        forward, transpose = chan._rescale_banded(96, factor)
+        assert forward.band == transpose.band == band
+        assert forward.blocks.shape == (96 // chan._BAND_BLOCK,
+                                        chan._BAND_BLOCK,
+                                        chan._BAND_BLOCK + 2 * band)

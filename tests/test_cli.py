@@ -102,6 +102,30 @@ class TestExitCodes:
         assert main(["extract", str(path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, content", [
+        ("--text", None),                   # missing
+        ("--text", "directory"),            # unreadable
+        ("--text", b"caf\xe9 au lait"),     # not UTF-8
+        ("--truth", None),
+        ("--truth", b"{not json"),
+        ("--truth", b'{"grid": [0]}'),      # no message
+        ("--truth", b'{"message": "01"}'),  # no grid
+        ("--truth", b'{"message": "01", "grid": [1, 2, 3]}'),
+    ])
+    def test_bad_side_file_is_malformed(self, tmp_path, capsys, flag,
+                                        content):
+        image = tmp_path / "zeros.vqi"
+        write_image(image, np.zeros((96, 96, 3)))
+        side = tmp_path / "side"
+        if content == "directory":
+            side.mkdir()
+        elif content is not None:
+            side.write_bytes(content)
+        assert main(["extract", str(image), flag, str(side),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_zero_jobs_is_malformed(self, tmp_path):
         assert main(["sweep", "--jobs", "0", "--seeds", "1",
                      "--out", str(tmp_path)]) == 2
