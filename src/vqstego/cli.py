@@ -20,17 +20,16 @@ from .pipeline import (derive_key, rows_to_jsonl, run_attack, run_embed,
 from .security import run_security_test
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, out: bool = True) -> None:
     parser.add_argument("--config", metavar="FILE",
                         help="INI config file (defaults used when omitted)")
     parser.add_argument("--key", metavar="HEX",
                         help="64-character hex key (overrides config)")
     parser.add_argument("--seed", type=int, metavar="N",
                         help="run seed (overrides config)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers for sweeps")
-    parser.add_argument("--out", metavar="DIR", default=".",
-                        help="output directory")
+    if out:
+        parser.add_argument("--out", metavar="DIR", default=".",
+                            help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,10 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5,
                    help="seeds per variant")
     p.add_argument("--message-bits", type=int, default=500)
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="parallel workers")
     _add_common(p)
 
     p = sub.add_parser("show-config", help="print the effective config")
-    _add_common(p)
+    _add_common(p, out=False)
     return parser
 
 

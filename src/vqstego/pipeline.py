@@ -22,7 +22,7 @@ from . import channel as chan
 from .bits import (BitString, KeyedStream, StegoKey, frame_message,
                    unframe_lenient, unframe_message)
 from .codec import embed_sequence, extract_sequence
-from .config import PipelineConfig, dumps, loads
+from .config import PipelineConfig
 from .ecc import EccEncodeResult, EccParams, ecc_decode, ecc_encode, position_cost_stats
 from .errors import (BudgetExceeded, CapacityExceeded, MalformedEcc,
                      MalformedInput, TruncatedFrame)
@@ -406,8 +406,7 @@ def run_attack(cfg: PipelineConfig, image_path, out_path) -> dict:
 # ---------------------------------------------------------------------------
 
 def _sweep_worker(args) -> dict:
-    label, cfg_text, seed, message_bits = args
-    cfg = loads(cfg_text)
+    label, cfg, seed, message_bits = args
     try:
         metrics = benchmark_run(cfg, seed, message_bits)
         row = metrics.to_dict()
@@ -447,7 +446,7 @@ def run_sweep(cfg: PipelineConfig, channels=None, max_tokens=None,
               message_bits: int = 500) -> dict:
     """One row per (variant, seed); aggregates are mean/std over seeds."""
     variants = sweep_variants(cfg, channels, max_tokens)
-    tasks = [(label, dumps(vcfg), seed, message_bits)
+    tasks = [(label, vcfg, seed, message_bits)
              for label, vcfg in variants for seed in range(n_seeds)]
     workers = worker_count(jobs, len(tasks), os.cpu_count())
     if workers > 1:

@@ -42,6 +42,8 @@ class ModelSpec:
             raise ValueError("require 1 <= top_k <= vocab_size")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.num_conditions < 1:
+            raise ValueError("num_conditions must be >= 1")
 
 
 class Distribution:

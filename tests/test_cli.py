@@ -135,6 +135,24 @@ class TestExitCodes:
         ini.write_text("[vq]\ngrid_h = 0\n")
         assert main(["show-config", "--config", str(ini)]) == 2
 
+    @pytest.mark.parametrize("section, key", [
+        ("image_model", "num_conditions"),
+        ("text_model", "num_conditions"),
+        ("vq", "vec_dim"),
+        ("vq", "alpha"),
+        ("ecc", "lambda1"),
+        ("ecc", "lambda2"),
+    ])
+    def test_zero_setting_is_malformed(self, tmp_path, capsys, section, key):
+        ini = tmp_path / "zero.ini"
+        ini.write_text(f"[{section}]\n{key} = 0\n")
+        msg = tmp_path / "m.txt"
+        msg.write_text("0101")
+        assert main(["embed", str(msg), "--config", str(ini),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_bad_key_is_malformed(self, tmp_path):
         msg = tmp_path / "m.txt"
         msg.write_text("0101")

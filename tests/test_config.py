@@ -1,8 +1,87 @@
+from dataclasses import fields, is_dataclass, replace
+
 import pytest
 
-from vqstego.channel import GaussianStage, QuantizeStage
+from vqstego.channel import (ChannelSpec, GaussianStage, QuantizeStage,
+                             parse_channel)
 from vqstego.config import default_config, dumps, load_config, loads
 from vqstego.errors import MalformedInput
+
+# The manifest records config_hash(), so the INI text is part of the format.
+DEFAULT_INI = """\
+[image_model]
+vocab_size = 256
+top_k = 32
+temperature = 1.0
+context_order = 3
+seed = 1
+num_conditions = 1024
+
+[text_model]
+vocab_size = 512
+top_k = 64
+temperature = 1.0
+context_order = 3
+seed = 2
+num_conditions = 4096
+
+[vq]
+codebook_seed = 7
+vec_dim = 8
+patch = 4
+grid_h = 24
+grid_w = 24
+decoder_seed = 11
+alpha = 0.5
+weight_scale = 0.3
+bias_scale = 2.1
+
+[channel]
+spec = lossless
+noise_seed = 0
+
+[optimizer]
+learning_rate = 0.002
+steps = 2000
+beta1 = 0.9
+beta2 = 0.999
+eps = 1e-08
+plateau_tol = 1e-10
+plateau_window = 100
+quantize_in_loop = false
+
+[ecc]
+enabled = true
+lambda1 = 8
+lambda2 = 8
+
+[text]
+max_tokens = 200
+
+[run]
+seed = 0
+security_positions = 32
+
+"""
+
+
+def _changed(value):
+    """A valid value different from `value`, recursing into dataclasses."""
+    if isinstance(value, ChannelSpec):
+        return parse_channel("gaussian:0.01,quantize:32,rescale:0.5",
+                             value.noise_seed + 3)
+    if is_dataclass(value):
+        return replace(value, **{f.name: _changed(getattr(value, f.name))
+                                 for f in fields(value)})
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value - 1 if value > 1 else value + 1
+    if isinstance(value, float):
+        return value * 0.5
+    if value is None:
+        return "ab" * 32
+    raise TypeError(f"no changed value for {value!r}")
 
 
 class TestConfig:
@@ -20,6 +99,27 @@ class TestConfig:
         cfg.key_hex = "ab" * 32
         back = loads(dumps(cfg))
         assert back == cfg
+
+    def test_default_ini_is_pinned(self):
+        assert dumps(default_config()) == DEFAULT_INI
+        assert default_config().config_hash() == "884aae564280596c"
+
+    def test_every_field_round_trips(self):
+        base = default_config()
+        cfg = replace(base, **{f.name: _changed(getattr(base, f.name))
+                               for f in fields(base)})
+        for f in fields(base):
+            assert getattr(cfg, f.name) != getattr(base, f.name), f.name
+        assert loads(dumps(cfg)) == cfg
+
+    @pytest.mark.parametrize("text, name", [
+        ("[optimiser]\nsteps = 5\n", "[optimiser]"),
+        ("[optimizer]\nstpes = 5\n", "'stpes'"),
+        ("[DEFAULT]\nsteps = 5\n", "[DEFAULT]"),
+    ])
+    def test_unknown_names_rejected(self, text, name):
+        with pytest.raises(MalformedInput, match=name.replace("[", r"\[")):
+            loads(text)
 
     def test_partial_config_fills_defaults(self):
         cfg = loads("[text]\nmax_tokens = 77\n")

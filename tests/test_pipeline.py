@@ -180,6 +180,14 @@ class TestSweep:
         assert agg["r_q_stage2_mean"] == 100.0
         assert "variant" in result["table"].splitlines()[0]
 
+    def test_parallel_rows_match_serial(self, fast_cfg, monkeypatch):
+        # two workers even on a one-CPU machine, so the pool path runs
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        serial = run_sweep(fast_cfg, n_seeds=2, jobs=1, message_bits=100)
+        parallel = run_sweep(fast_cfg, n_seeds=2, jobs=2, message_bits=100)
+        assert len(parallel["rows"]) == 2
+        assert parallel["rows"] == serial["rows"]
+
     def test_failed_row_reported(self, fast_cfg):
         # an impossible message size fails the row without killing the sweep
         result = run_sweep(fast_cfg, channels=["lossless"], n_seeds=1,
