@@ -16,95 +16,66 @@ from .errors import MalformedInput, PayloadTooLong, TruncatedFrame
 
 _HEADER_BITS = 32
 _BLOCK_SIZE = 32  # bytes per keyed-hash block
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class BitString:
-    """Ordered sequence of {0,1} with a read cursor."""
+    """Immutable sequence of {0,1}, one byte per bit.
 
-    __slots__ = ("_bits", "_pos")
+    Slices are BitStrings and `+` concatenates; conversions run in C through
+    `bytes.translate` and `int(..., 2)`.
+    """
+
+    __slots__ = ("_bits",)
 
     def __init__(self, bits: Iterable[int] = ()):
-        buf = bytearray(bits)
-        for b in buf:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-        self._bits = buf
-        self._pos = 0
+        # iter() keeps bytes() from reading an ndarray's raw memory buffer
+        data = bits if isinstance(bits, bytes) else bytes(iter(bits))
+        if data.translate(None, b"\x00\x01"):
+            raise ValueError("bits must be 0 or 1")
+        self._bits = data
 
     @classmethod
     def from_int(cls, value: int, width: int) -> "BitString":
         """MSB-first binary representation of `value` in `width` bits."""
         if value < 0 or width < 0 or value >> width:
             raise ValueError(f"{value} does not fit in {width} bits")
-        return cls((value >> (width - 1 - i)) & 1 for i in range(width))
+        # the sentinel bit 1 << width fixes the digit count, also at width 0
+        return cls(bin(value | 1 << width)[3:].encode().translate(_FROM_ASCII))
 
     @classmethod
     def from01(cls, text: str) -> "BitString":
-        try:
-            return cls(int(c) for c in text)
-        except ValueError as exc:
-            raise MalformedInput(f"not a 0/1 string: {text[:32]!r}...") from exc
+        data = text.encode("ascii", "replace")
+        if data.translate(None, b"01"):
+            raise MalformedInput(f"not a 0/1 string: {text[:32]!r}...")
+        return cls(data.translate(_FROM_ASCII))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BitString":
-        return cls((byte >> (7 - i)) & 1 for byte in data for i in range(8))
+        return cls.from_int(int.from_bytes(data, "big"), 8 * len(data))
 
     def to01(self) -> str:
-        return "".join(str(b) for b in self._bits)
+        return self._bits.translate(_TO_ASCII).decode()
 
     def to_int(self) -> int:
-        value = 0
-        for b in self._bits:
-            value = (value << 1) | b
-        return value
-
-    def copy(self) -> "BitString":
-        return BitString(self._bits)
-
-    def append(self, bit: int) -> None:
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        self._bits.append(bit)
-
-    def extend(self, bits: Iterable[int]) -> None:
-        for b in bits:
-            self.append(b)
-
-    def append_int(self, value: int, width: int) -> None:
-        self.extend(BitString.from_int(value, width))
-
-    @property
-    def remaining(self) -> int:
-        return len(self._bits) - self._pos
-
-    def reset_cursor(self) -> None:
-        self._pos = 0
-
-    def read_bit(self) -> int:
-        if self._pos >= len(self._bits):
-            raise TruncatedFrame("read past end of bitstring")
-        b = self._bits[self._pos]
-        self._pos += 1
-        return b
-
-    def read_int(self, width: int) -> int:
-        if self.remaining < width:
-            raise TruncatedFrame(
-                f"need {width} bits, {self.remaining} available"
-            )
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self.read_bit()
-        return value
+        return int(self._bits.translate(_TO_ASCII) or b"0", 2)
 
     def __len__(self) -> int:
         return len(self._bits)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return BitString(self._bits[i])
         return self._bits[i]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._bits)
+
+    def __add__(self, other: "BitString") -> "BitString":
+        if not isinstance(other, BitString):
+            return NotImplemented
+        return BitString(self._bits + other._bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
@@ -112,7 +83,7 @@ class BitString:
         return self._bits == other._bits
 
     def __hash__(self):
-        return hash(bytes(self._bits))
+        return hash(self._bits)
 
     def __repr__(self) -> str:
         head = self.to01()
@@ -180,10 +151,7 @@ class KeyedStream:
         return u * 2.0**-53
 
     def next_bits(self, n: int) -> BitString:
-        nbytes = (n + 7) // 8
-        data = self.next_bytes(nbytes)
-        bits = BitString.from_bytes(data)
-        return BitString(bits[i] for i in range(n))
+        return BitString.from_bytes(self.next_bytes((n + 7) // 8))[:n]
 
     def next_int(self, bound: int) -> int:
         """Uniform integer in [0, bound) by 64-bit rejection-free reduction."""
@@ -194,15 +162,14 @@ class KeyedStream:
 def xor_bits(bits: BitString, keystream: BitString) -> BitString:
     if len(bits) != len(keystream):
         raise ValueError("keystream length mismatch")
-    return BitString(a ^ b for a, b in zip(bits, keystream))
+    return BitString.from_int(bits.to_int() ^ keystream.to_int(), len(bits))
 
 
 def frame_message(payload: BitString, stream: KeyedStream) -> BitString:
     """Length-prefix the payload and mask the whole frame with the keystream."""
     if len(payload) >= 1 << _HEADER_BITS:
         raise PayloadTooLong(f"payload of {len(payload)} bits exceeds 2^32 - 1")
-    plain = BitString.from_int(len(payload), _HEADER_BITS)
-    plain.extend(payload)
+    plain = BitString.from_int(len(payload), _HEADER_BITS) + payload
     return xor_bits(plain, stream.next_bits(len(plain)))
 
 
@@ -211,13 +178,12 @@ def unframe_message(framed: BitString, stream: KeyedStream) -> BitString:
     if len(framed) < _HEADER_BITS:
         raise TruncatedFrame("frame shorter than the 32-bit header")
     plain = xor_bits(framed, stream.next_bits(len(framed)))
-    plain.reset_cursor()
-    length = plain.read_int(_HEADER_BITS)
-    if length > plain.remaining:
+    length = plain[:_HEADER_BITS].to_int()
+    body = plain[_HEADER_BITS:]
+    if length > len(body):
         raise TruncatedFrame(
-            f"declared length {length} exceeds {plain.remaining} available bits"
-        )
-    return BitString(plain.read_bit() for _ in range(length))
+            f"declared length {length} exceeds {len(body)} available bits")
+    return body[:length]
 
 
 def unframe_lenient(framed: BitString, stream: KeyedStream,
@@ -227,8 +193,5 @@ def unframe_lenient(framed: BitString, stream: KeyedStream,
     Never raises; used to score partially garbled extractions against the
     known true message.
     """
-    if len(framed) <= _HEADER_BITS:
-        return BitString()
     plain = xor_bits(framed, stream.next_bits(len(framed)))
-    n = min(true_length, len(plain) - _HEADER_BITS)
-    return BitString(plain[_HEADER_BITS + i] for i in range(n))
+    return plain[_HEADER_BITS:_HEADER_BITS + true_length]

@@ -13,6 +13,7 @@ the rescale operators and their transposes are built once, in banded form.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -75,7 +76,7 @@ def parse_channel(text: str, noise_seed: int = 0) -> ChannelSpec:
             name, _, arg = part.strip().partition(":")
             if name == "gaussian":
                 stage: Stage = GaussianStage(float(arg))
-                if stage.sigma < 0:
+                if not 0 <= stage.sigma < math.inf:
                     raise ValueError
             elif name == "quantize":
                 stage = QuantizeStage(int(arg))

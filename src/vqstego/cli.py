@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .bits import BitString, StegoKey
 from .config import PipelineConfig, default_config, dumps, load_config
@@ -20,14 +21,18 @@ from .pipeline import (derive_key, rows_to_jsonl, run_attack, run_embed,
 from .security import run_security_test
 
 
-def _add_common(parser: argparse.ArgumentParser, out: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser,
+                flags=("--key", "--seed", "--out")) -> None:
+    """--config plus those of the other common flags the subcommand reads."""
     parser.add_argument("--config", metavar="FILE",
                         help="INI config file (defaults used when omitted)")
-    parser.add_argument("--key", metavar="HEX",
-                        help="64-character hex key (overrides config)")
-    parser.add_argument("--seed", type=int, metavar="N",
-                        help="run seed (overrides config)")
-    if out:
+    if "--key" in flags:
+        parser.add_argument("--key", metavar="HEX",
+                            help="64-character hex key (overrides config)")
+    if "--seed" in flags:
+        parser.add_argument("--seed", type=int, metavar="N",
+                            help="run seed (overrides config)")
+    if "--out" in flags:
         parser.add_argument("--out", metavar="DIR", default=".",
                             help="output directory")
 
@@ -37,12 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vqstego",
         description="Distribution-preserving token steganography pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: `sweep --seed 3` must not mean `--seeds 3`
+    add = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("embed", help="embed a message file into stego files")
+    p = add("embed", help="embed a message file into stego files")
     p.add_argument("message_file")
     _add_common(p)
 
-    p = sub.add_parser("extract", help="extract a message from stego files")
+    p = add("extract", help="extract a message from stego files")
     p.add_argument("image_file")
     p.add_argument("--text", metavar="FILE",
                    help="companion correction-text file")
@@ -50,20 +57,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truth sidecar for scoring (from embed)")
     _add_common(p)
 
-    p = sub.add_parser("attack", help="apply the configured channel to an "
-                                      "image file")
+    p = add("attack", help="apply the configured channel to an image file")
     p.add_argument("image_file")
-    _add_common(p)
+    # the attack reads only the configured channel
+    _add_common(p, flags=("--out",))
 
-    p = sub.add_parser("security-test",
-                       help="cover-vs-stego statistical battery")
+    p = add("security-test", help="cover-vs-stego statistical battery")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--variant", choices=("stego", "cover", "biased"),
                    default="stego")
     _add_common(p)
 
-    p = sub.add_parser("sweep", help="metric sweep over channel or "
-                                     "max-token variants")
+    p = add("sweep", help="metric sweep over channel or max-token variants")
     p.add_argument("--channels", metavar="SPECS",
                    help="semicolon-separated channel specs, e.g. "
                         "'gaussian:0.005;quantize:32'")
@@ -74,18 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--message-bits", type=int, default=500)
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="parallel workers")
-    _add_common(p)
+    # each run's seed is its index in range(--seeds)
+    _add_common(p, flags=("--key", "--out"))
 
-    p = sub.add_parser("show-config", help="print the effective config")
-    _add_common(p, out=False)
+    p = add("show-config", help="print the effective config")
+    _add_common(p, flags=("--key", "--seed"))
     return parser
 
 
 def _load(args) -> tuple[PipelineConfig, StegoKey | None]:
     cfg = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.key:
+    if getattr(args, "key", None):
         cfg = replace(cfg, key_hex=args.key)
     key = derive_key(cfg) if cfg.key_hex else None
     return cfg, key

@@ -54,12 +54,13 @@ def _shift_token(dist: Distribution, r: float, i: int, k: int) -> int:
 
 def embed_step(dist: Distribution, r: float, message: BitString,
                pad_stream: KeyedStream) -> StepOutcome:
-    """Consume up to k* message bits; exhausted readers pad with keystream."""
+    """Embed the first min(k*, len(message)) bits; pad the rest with keystream.
+
+    Each pad bit takes one whole keystream byte.
+    """
     k = step_capacity(dist, r)
-    consumed = min(k, message.remaining)
-    index = 0
-    for _ in range(consumed):
-        index = (index << 1) | message.read_bit()
+    consumed = min(k, len(message))
+    index = message[:consumed].to_int()
     for _ in range(k - consumed):
         index = (index << 1) | pad_stream.next_bits(1)[0]
     return StepOutcome(token=_shift_token(dist, r, index, k),
@@ -99,7 +100,7 @@ def embed_sequence(model: ModelSpec, condition: Condition, message: BitString,
     for t in range(length):
         dist = next_distribution(model, condition, tokens, t)
         r = r_stream.next_uniform()
-        outcome = embed_step(dist, r, message, pad_stream)
+        outcome = embed_step(dist, r, message[consumed:], pad_stream)
         tokens.append(outcome.token)
         consumed += outcome.bits_embedded
     return np.array(tokens, dtype=np.int64), consumed
@@ -124,7 +125,7 @@ def extract_sequence(model: ModelSpec, condition: Condition,
             bits, _ = extract_step(dist, r, int(tok))
         except TokenNotInSupport:
             break
-        out.extend(bits)
+        out += bits
         prefix.append(int(tok))
     return out
 

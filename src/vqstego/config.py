@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .channel import ChannelSpec, parse_channel
@@ -126,7 +127,10 @@ def _parse(s: configparser.SectionProxy, key: str, default):
     if isinstance(default, int):
         return s.getint(key)
     if isinstance(default, float):
-        return s.getfloat(key)
+        value = s.getfloat(key)
+        if not math.isfinite(value):
+            raise ValueError(f"{key} = {value} is not finite")
+        return value
     return s.get(key)
 
 

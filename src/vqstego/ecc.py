@@ -137,13 +137,13 @@ def ecc_encode(true_grid: np.ndarray, recovered_grid: np.ndarray,
             rl.truncated_at = pos
             break
         if first:
-            bits.append_int(pos, params.position_bits)
+            head = BitString.from_int(pos, params.position_bits)
             rl.first_abs_position = pos
             rl.first_rank = rank
         else:
-            bits.append_int(delta1, params.lambda1)
+            head = BitString.from_int(delta1, params.lambda1)
             rl.records.append((delta1, rank))
-        bits.append_int(rank, params.lambda2)
+        bits += head + BitString.from_int(rank, params.lambda2)
         rl.positions.append(pos)
         work[pos] = true_tok
         prev_pos = pos
@@ -158,24 +158,24 @@ def ecc_decode(ecc_bits: BitString, recovered_grid: np.ndarray,
     grid = np.asarray(recovered_grid)
     work = grid.ravel().copy()
     n = work.size
-    ecc_bits = ecc_bits.copy()
     if len(ecc_bits) == 0:
         return work.reshape(grid.shape)
     if len(ecc_bits) < params.record_bits(first=True):
         raise MalformedEcc("bitstream shorter than one full record")
     prev_pos: int | None = None
-    while True:
-        if prev_pos is None:
-            pos = ecc_bits.read_int(params.position_bits)
-        else:
-            remaining = ecc_bits.remaining
-            if remaining == 0:
-                break
-            if remaining < params.record_bits(first=False):
-                raise MalformedEcc(
-                    f"{remaining} trailing bits do not form a record")
-            pos = prev_pos + ecc_bits.read_int(params.lambda1)
-        rank = ecc_bits.read_int(params.lambda2)
+    at = 0  # bits read so far
+    while at < len(ecc_bits):
+        first = prev_pos is None
+        remaining = len(ecc_bits) - at
+        if remaining < params.record_bits(first):
+            raise MalformedEcc(
+                f"{remaining} trailing bits do not form a record")
+        head = params.position_bits if first else params.lambda1
+        coordinate = ecc_bits[at:at + head].to_int()
+        pos = coordinate if first else prev_pos + coordinate
+        at += head
+        rank = ecc_bits[at:at + params.lambda2].to_int()
+        at += params.lambda2
         if pos >= n:
             raise MalformedEcc(f"corrected position {pos} outside the grid")
         dist = next_distribution(model, condition, work[:pos].tolist(), pos)

@@ -93,11 +93,10 @@ def embed_message(pipe: Pipeline, key: StegoKey,
     """Frame and embed the message; optionally attach the correction text."""
     cfg = pipe.cfg
     condition = pipe.condition(key)
-    framed = frame_message(message.copy(),
+    framed = frame_message(message,
                            KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)))
-    tokens, consumed = embed_sequence(cfg.image_model, condition,
-                                      framed.copy(), key, cfg.n_tokens,
-                                      IMAGE_DOMAIN)
+    tokens, consumed = embed_sequence(cfg.image_model, condition, framed, key,
+                                      cfg.n_tokens, IMAGE_DOMAIN)
     if consumed < len(framed):
         raise CapacityExceeded(
             f"framed message of {len(framed)} bits exceeds the realized "
@@ -187,10 +186,10 @@ def extract_message(pipe: Pipeline, key: StegoKey, received: np.ndarray,
                               IMAGE_DOMAIN)
     try:
         message = unframe_message(
-            framed.copy(), KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)))
+            framed, KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)))
     except TruncatedFrame:
         message = unframe_lenient(
-            framed.copy(), KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)),
+            framed, KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)),
             max(0, len(framed) - 32))
     return ExtractResult(grid_stage1=grid1, grid_stage2=grid2,
                          grid_stage3=grid3, message=message,
@@ -230,7 +229,7 @@ def _r_q(grid: np.ndarray, true_grid: np.ndarray) -> float:
 def _cap(framed: BitString, key: StegoKey, true_message: BitString) -> int:
     """Correct-prefix length of the extracted message against the truth."""
     lenient = unframe_lenient(
-        framed.copy(), KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)),
+        framed, KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)),
         len(true_message))
     cap = 0
     for got, want in zip(lenient, true_message):

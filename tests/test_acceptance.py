@@ -62,9 +62,9 @@ def test_criterion_1_lossless_round_trip(capfd, cfg, tokenizer):
         message = KeyedStream(key.with_domain("msg")).next_bits(n_bits)
         condition = condition_from_key(key, cfg.image_model)
         framed = frame_message(
-            message.copy(), KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)))
+            message, KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)))
         tokens, consumed = embed_sequence(cfg.image_model, condition,
-                                          framed.copy(), key, cfg.n_tokens,
+                                          framed, key, cfg.n_tokens,
                                           IMAGE_DOMAIN)
         assert consumed >= len(framed)
         grid = tokens.reshape(cfg.grid_h, cfg.grid_w)

@@ -28,22 +28,60 @@ class TestBitString:
     def test_from_bytes(self):
         assert BitString.from_bytes(b"\x80\x01").to01() == "1000000000000001"
 
-    def test_read_cursor(self):
+    def test_slices_read_fields(self):
         b = BitString.from01("110")
-        assert b.read_int(2) == 3
-        assert b.read_bit() == 0
-        with pytest.raises(TruncatedFrame):
-            b.read_bit()
+        assert b[:2].to_int() == 3
+        assert b[2] == 0
+        assert b[3:] == BitString()
+        with pytest.raises(IndexError):
+            b[3]
+
+    def test_concatenation_leaves_operands(self):
+        a, b = BitString.from01("10"), BitString.from01("011")
+        assert (a + b).to01() == "10011"
+        assert a.to01() == "10" and b.to01() == "011"
+        with pytest.raises(TypeError):
+            a[0] = 0
+
+    def test_from_ndarray_reads_values(self):
+        # bytes(ndarray) would read the int64 memory buffer: 16 bits
+        assert BitString(np.array([1, 0])).to01() == "10"
+        assert BitString(np.array([1, 0], dtype=np.uint8)).to01() == "10"
+        with pytest.raises(ValueError):
+            BitString(np.array([1, 2]))
+
+    def test_zero_width(self):
+        assert BitString.from_int(0, 0) == BitString()
+        assert BitString().to_int() == 0 and BitString().to01() == ""
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BitString([0, 2])
         with pytest.raises(MalformedInput):
             BitString.from01("10x")
+        with pytest.raises(MalformedInput):
+            BitString.from01("10\u00b9")
 
     @given(st.integers(0, 2**20 - 1))
     def test_int_round_trip_property(self, value):
         assert BitString.from_int(value, 20).to_int() == value
+
+    @given(st.binary(max_size=40), st.integers(0, 320))
+    def test_conversions_match_bit_loops(self, data, width):
+        # the per-bit loops the C-level conversions replaced, as reference
+        bits = [(byte >> (7 - i)) & 1 for byte in data for i in range(8)]
+        assert list(BitString.from_bytes(data)) == bits
+        assert BitString(bits).to01() == "".join(str(b) for b in bits)
+        value = 0
+        for b in bits:
+            value = (value << 1) | b
+        assert BitString(bits).to_int() == value
+        value &= (1 << width) - 1
+        assert list(BitString.from_int(value, width)) == [
+            (value >> (width - 1 - i)) & 1 for i in range(width)]
+        keystream = bits[::-1]
+        assert list(xor_bits(BitString(bits), BitString(keystream))) == [
+            a ^ b for a, b in zip(bits, keystream)]
 
 
 class TestKeyedStream:

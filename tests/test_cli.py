@@ -153,6 +153,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("vq", "alpha", "nan"),
+        ("image_model", "temperature", "nan"),
+        ("optimizer", "learning_rate", "inf"),
+        ("channel", "spec", "gaussian:nan"),
+        ("channel", "spec", "gaussian:inf"),
+    ])
+    def test_non_finite_setting_is_malformed(self, tmp_path, capsys, section,
+                                             key, value):
+        ini = tmp_path / "nonfinite.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        msg = tmp_path / "m.txt"
+        msg.write_text("0101")
+        assert main(["embed", str(msg), "--config", str(ini),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "stego.vqi").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["attack", "x.vqi", "--key", "ef" * 32],
+        ["attack", "x.vqi", "--seed", "3"],
+        ["sweep", "--seed", "3"],
+    ])
+    def test_unread_flags_are_not_offered(self, argv, tmp_path, capsys):
+        # attack reads only the channel; sweep seeds its runs 0..--seeds-1,
+        # and `--seed` is not taken as an abbreviation of `--seeds`
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bad_key_is_malformed(self, tmp_path):
         msg = tmp_path / "m.txt"
         msg.write_text("0101")

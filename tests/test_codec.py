@@ -111,7 +111,7 @@ class TestEmbedExtractStep:
             r = float(rng.random())
             k = step_capacity(d, r)
             message = BitString(int(b) for b in rng.integers(0, 2, k))
-            out = embed_step(d, r, message.copy(), stream)
+            out = embed_step(d, r, message, stream)
             got, got_k = extract_step(d, r, out.token)
             assert got_k == k and got == message
 
@@ -163,11 +163,10 @@ class TestSequences:
     def test_round_trip(self):
         key = self.make_key()
         msg = KeyedStream(key.with_domain("m")).next_bits(300)
-        tokens, consumed = embed_sequence(MODEL, COND, msg.copy(), key, 576,
-                                          "image")
+        tokens, consumed = embed_sequence(MODEL, COND, msg, key, 576, "image")
         assert consumed == 300
         out = extract_sequence(MODEL, COND, tokens, key, "image")
-        assert BitString(out[i] for i in range(300)) == msg
+        assert out[:300] == msg
 
     def test_round_trip_many_triples(self):
         # Round trip over full sequences for random (key, message, condition).
@@ -176,18 +175,17 @@ class TestSequences:
             key = StegoKey(bytes(rng.integers(0, 256, 32).tolist()))
             cond = Condition(int(rng.integers(0, 1024)))
             msg = BitString(int(b) for b in rng.integers(0, 2, 120))
-            tokens, consumed = embed_sequence(MODEL, cond, msg.copy(), key,
-                                              128, "image")
+            tokens, consumed = embed_sequence(MODEL, cond, msg, key, 128,
+                                              "image")
             assert consumed == 120
             out = extract_sequence(MODEL, cond, tokens, key, "image")
-            assert BitString(out[j] for j in range(120)) == msg
+            assert out[:120] == msg
 
     def test_consumed_matches_independent_capacity_sum(self):
         # [DERIVED] recompute per-step capacities on the emitted prefix.
         key = self.make_key(2)
         msg = KeyedStream(key.with_domain("m")).next_bits(10_000)  # never ends
-        tokens, consumed = embed_sequence(MODEL, COND, msg.copy(), key, 100,
-                                          "image")
+        tokens, consumed = embed_sequence(MODEL, COND, msg, key, 100, "image")
         r_stream = KeyedStream(key.with_domain("image"))
         total = 0
         for t in range(100):
@@ -205,16 +203,25 @@ class TestSequences:
 
     def test_different_keys_different_grids(self):
         msg = BitString([1, 0] * 30)
-        t1, _ = embed_sequence(MODEL, COND, msg.copy(), self.make_key(1),
-                               64, "image")
-        t2, _ = embed_sequence(MODEL, COND, msg.copy(), self.make_key(2),
-                               64, "image")
+        t1, _ = embed_sequence(MODEL, COND, msg, self.make_key(1), 64,
+                               "image")
+        t2, _ = embed_sequence(MODEL, COND, msg, self.make_key(2), 64,
+                               "image")
         assert not np.array_equal(t1, t2)
+
+    def test_message_reusable(self):
+        # embedding reads the message without using it up
+        key = self.make_key(8)
+        msg = KeyedStream(key.with_domain("m")).next_bits(200)
+        t1, c1 = embed_sequence(MODEL, COND, msg, key, 64, "image")
+        t2, c2 = embed_sequence(MODEL, COND, msg, key, 64, "image")
+        assert np.array_equal(t1, t2) and c1 == c2 > 0
+        assert msg == KeyedStream(key.with_domain("m")).next_bits(200)
 
     def test_corruption_prefix_semantics(self):
         key = self.make_key(4)
         msg = KeyedStream(key.with_domain("m")).next_bits(200)
-        tokens, _ = embed_sequence(MODEL, COND, msg.copy(), key, 64, "image")
+        tokens, _ = embed_sequence(MODEL, COND, msg, key, 64, "image")
         clean = extract_sequence(MODEL, COND, tokens, key, "image")
         corrupted = tokens.copy()
         corrupted[5] = (corrupted[5] + 1) % 256
@@ -245,11 +252,10 @@ class TestSequences:
     def test_copy_index_trace_matches_embedding(self):
         key = self.make_key(7)
         msg = KeyedStream(key.with_domain("m")).next_bits(500)
-        tokens, _ = embed_sequence(MODEL, COND, msg.copy(), key, 64, "image")
+        tokens, consumed = embed_sequence(MODEL, COND, msg, key, 64, "image")
         trace = copy_index_trace(MODEL, COND, tokens, key, "image")
-        msg.reset_cursor()
+        assert consumed == sum(k for k, _ in trace) <= len(msg)
+        at = 0
         for k, index in trace:
-            want = 0
-            for _ in range(k):
-                want = (want << 1) | msg.read_bit()
-            assert index == want
+            assert index == msg[at:at + k].to_int()
+            at += k

@@ -129,9 +129,8 @@ class TestEncodeDecode:
         assert [d1 for d1, _ in rl.records] == [3, 8]
         assert rl.positions == [24, 27, 35]
         assert enc.corrected_count == 3
-        bits = enc.bits.copy()
-        bits.reset_cursor()
-        assert bits.read_int(9) == 24
+        assert enc.bits[:9].to_int() == 24
+        assert enc.bits[9 + 8:9 + 16].to_int() == 3
 
     def test_no_errors_empty(self):
         g = true_grid(6)
@@ -196,26 +195,22 @@ class TestEncodeDecode:
         g = true_grid(13)
         r = corrupt(g, [30], rng)
         enc = ecc_encode(g, r, MODEL, COND, BOOK, PARAMS, 1000)
-        bad = enc.bits.copy()
-        bad.extend([1, 0, 1])
+        bad = enc.bits + BitString([1, 0, 1])
         with pytest.raises(MalformedEcc):
             ecc_decode(bad, r, MODEL, COND, BOOK, PARAMS)
 
     def test_malformed_position_outside_grid(self):
         g = true_grid(14)
-        bits = BitString()
-        bits.append_int(500, 9)
-        bits.append_int(0, 8)
-        bits.append_int(255, 8)  # next position 755 >= 576
-        bits.append_int(0, 8)
+        bits = (BitString.from_int(500, 9) + BitString.from_int(0, 8)
+                # next position 755 >= 576
+                + BitString.from_int(255, 8) + BitString.from_int(0, 8))
         with pytest.raises(MalformedEcc):
             ecc_decode(bits, g, MODEL, COND, BOOK, PARAMS)
 
     def test_malformed_rank_beyond_candidates(self):
         g = true_grid(15)
-        bits = BitString()
-        bits.append_int(10, 9)
-        bits.append_int(40, 8)  # only top_k = 32 candidates exist
+        # only top_k = 32 candidates exist
+        bits = BitString.from_int(10, 9) + BitString.from_int(40, 8)
         with pytest.raises(MalformedEcc):
             ecc_decode(bits, g, MODEL, COND, BOOK, PARAMS)
 

@@ -27,7 +27,7 @@ class TestEmbedExtract:
     def test_round_trip(self, image):
         key = make_key()
         bits = KeyedStream(key.with_domain("payload")).next_bits(120)
-        st = embed_ecc(bits.copy(), image, key, TEXT_MODEL, max_tokens=100)
+        st = embed_ecc(bits, image, key, TEXT_MODEL, max_tokens=100)
         assert st.payload_bits == 120
         assert len(st.tokens) == 100  # always runs to max_tokens
         out = extract_ecc(st.tokens, image, key, TEXT_MODEL)
@@ -57,7 +57,7 @@ class TestEmbedExtract:
     def test_mismatched_image_garbles(self, image, tokenizer):
         key = make_key(4)
         bits = KeyedStream(key.with_domain("payload")).next_bits(100)
-        st = embed_ecc(bits.copy(), image, key, TEXT_MODEL, max_tokens=100)
+        st = embed_ecc(bits, image, key, TEXT_MODEL, max_tokens=100)
         rng = np.random.Generator(np.random.PCG64(99))
         other = tokenizer.decode(rng.integers(0, 256, (24, 24)))
         assert (text_condition_from_image(other, TEXT_MODEL)
@@ -68,7 +68,7 @@ class TestEmbedExtract:
     def test_truncated_text_yields_prefix(self, image):
         key = make_key(5)
         bits = KeyedStream(key.with_domain("payload")).next_bits(200)
-        st = embed_ecc(bits.copy(), image, key, TEXT_MODEL, max_tokens=100)
+        st = embed_ecc(bits, image, key, TEXT_MODEL, max_tokens=100)
         full = extract_ecc(st.tokens, image, key, TEXT_MODEL)
         part = extract_ecc(st.tokens[:40], image, key, TEXT_MODEL)
         assert list(full)[:len(part)] == list(part)
