@@ -1,42 +1,25 @@
 """Distribution-preserving token steganography with gradient-descent
-recovery and a cross-modal error-correction stream, at desk scale."""
+recovery and a cross-modal error-correction stream, at desk scale.
 
-from .bits import (BitString, KeyedStream, StegoKey, frame_message,
-                   unframe_message)
-from .channel import ChannelSpec, apply, apply_smooth, parse_channel
-from .codec import (embed_sequence, embed_step, extract_sequence,
-                    extract_step, sample_sequence, sequence_capacity,
-                    step_capacity)
+The package namespace holds the end-to-end entry points; every layer stays
+importable as its submodule (``vqstego.codec``, ``vqstego.ecc``, ...).
+"""
+
+from . import (bits, channel, codec, config, ecc, errors, optimizer,
+               pipeline, security, text_channel, token_model, vq)
+from .bits import BitString, StegoKey
+from .channel import parse_channel
 from .config import PipelineConfig, default_config, load_config
-from .ecc import EccParams, capacity_tau, diff_tokens, ecc_decode, ecc_encode
 from .errors import StegoError
-from .optimizer import OptimConfig, optimize_tokens
-from .pipeline import (Pipeline, RunMetrics, benchmark_run, derive_key,
-                       embed_message, extract_message, run_embed,
-                       run_extract, run_sweep)
-from .security import SecurityReport, run_security_test
-from .text_channel import embed_ecc, extract_ecc, parse_words, render_words
-from .token_model import (Condition, Distribution, ModelSpec,
-                          condition_from_key, next_distribution,
-                          text_condition_from_image)
-from .vq import (Codebook, Tokenizer, build_codebook, build_tokenizer,
-                 read_image, write_image)
+from .pipeline import (Pipeline, benchmark_run, derive_key, embed_message,
+                       extract_message)
+from .security import run_security_test
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitString", "KeyedStream", "StegoKey", "frame_message",
-    "unframe_message", "ChannelSpec", "apply", "apply_smooth",
-    "parse_channel", "embed_sequence", "embed_step", "extract_sequence",
-    "extract_step", "sample_sequence", "sequence_capacity", "step_capacity",
-    "PipelineConfig", "default_config", "load_config", "EccParams",
-    "capacity_tau", "diff_tokens", "ecc_decode", "ecc_encode", "StegoError",
-    "OptimConfig", "optimize_tokens", "Pipeline", "RunMetrics",
-    "benchmark_run", "derive_key", "embed_message", "extract_message",
-    "run_embed", "run_extract", "run_sweep", "SecurityReport",
-    "run_security_test", "embed_ecc", "extract_ecc", "parse_words",
-    "render_words", "Condition", "Distribution", "ModelSpec",
-    "condition_from_key", "next_distribution", "text_condition_from_image",
-    "Codebook", "Tokenizer", "build_codebook", "build_tokenizer",
-    "read_image", "write_image",
+    "BitString", "StegoKey", "PipelineConfig", "default_config",
+    "load_config", "Pipeline", "derive_key", "embed_message",
+    "extract_message", "benchmark_run", "run_security_test", "parse_channel",
+    "StegoError",
 ]

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from .errors import MalformedInput, PayloadTooLong, TruncatedFrame
 
-_HEADER_BITS = 32
+HEADER_BITS = 32  # width of the frame's length prefix
 _BLOCK_SIZE = 32  # bytes per keyed-hash block
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
@@ -167,19 +167,19 @@ def xor_bits(bits: BitString, keystream: BitString) -> BitString:
 
 def frame_message(payload: BitString, stream: KeyedStream) -> BitString:
     """Length-prefix the payload and mask the whole frame with the keystream."""
-    if len(payload) >= 1 << _HEADER_BITS:
+    if len(payload) >= 1 << HEADER_BITS:
         raise PayloadTooLong(f"payload of {len(payload)} bits exceeds 2^32 - 1")
-    plain = BitString.from_int(len(payload), _HEADER_BITS) + payload
+    plain = BitString.from_int(len(payload), HEADER_BITS) + payload
     return xor_bits(plain, stream.next_bits(len(plain)))
 
 
 def unframe_message(framed: BitString, stream: KeyedStream) -> BitString:
     """Inverse of frame_message; raises TruncatedFrame on desynchronization."""
-    if len(framed) < _HEADER_BITS:
+    if len(framed) < HEADER_BITS:
         raise TruncatedFrame("frame shorter than the 32-bit header")
     plain = xor_bits(framed, stream.next_bits(len(framed)))
-    length = plain[:_HEADER_BITS].to_int()
-    body = plain[_HEADER_BITS:]
+    length = plain[:HEADER_BITS].to_int()
+    body = plain[HEADER_BITS:]
     if length > len(body):
         raise TruncatedFrame(
             f"declared length {length} exceeds {len(body)} available bits")
@@ -194,4 +194,4 @@ def unframe_lenient(framed: BitString, stream: KeyedStream,
     known true message.
     """
     plain = xor_bits(framed, stream.next_bits(len(framed)))
-    return plain[_HEADER_BITS:_HEADER_BITS + true_length]
+    return plain[HEADER_BITS:HEADER_BITS + true_length]

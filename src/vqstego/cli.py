@@ -149,8 +149,13 @@ def _run(args) -> int:
         return 0
     if args.command == "sweep":
         channels = (args.channels.split(";") if args.channels else None)
-        max_tokens = ([int(v) for v in args.max_tokens.split(",")]
-                      if args.max_tokens else None)
+        try:
+            max_tokens = ([int(v) for v in args.max_tokens.split(",")]
+                          if args.max_tokens else None)
+        except ValueError:
+            raise MalformedInput(
+                f"--max-tokens {args.max_tokens!r} is not a comma-separated "
+                f"list of integers") from None
         result = run_sweep(cfg, channels, max_tokens, n_seeds=args.seeds,
                            jobs=args.jobs, message_bits=args.message_bits)
         os.makedirs(args.out, exist_ok=True)

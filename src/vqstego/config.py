@@ -70,6 +70,18 @@ class PipelineConfig:
             raise MalformedInput("alpha must be nonzero")
         if self.lambda1 < 1 or self.lambda2 < 1:
             raise MalformedInput("lambda1 and lambda2 must be >= 1")
+        # a correction record addresses a cell in floor(log2(h*w)) >= 1 bits
+        if self.n_tokens < 2:
+            raise MalformedInput("the token grid must hold at least 2 cells")
+        if self.max_tokens < 1 or self.security_positions < 1:
+            raise MalformedInput(
+                "max_tokens and security_positions must be >= 1")
+        # both seeds are hashed as signed 64-bit integers
+        for name, value in (("seed", self.seed),
+                            ("noise_seed", self.channel.noise_seed)):
+            if not -2**63 <= value < 2**63:
+                raise MalformedInput(f"{name} {value} is outside the signed "
+                                     f"64-bit range")
         # each text token is rendered as one word of the word list
         if self.text_model.vocab_size > len(word_list()):
             raise MalformedInput(

@@ -54,9 +54,6 @@ class EccParams:
 
 @dataclass
 class ErrorRecordList:
-    first_abs_position: int | None = None
-    first_rank: int | None = None
-    records: list[tuple[int, int]] = field(default_factory=list)  # (d1, rank)
     truncated_at: int | None = None
     positions: list[int] = field(default_factory=list)
 
@@ -136,13 +133,8 @@ def ecc_encode(true_grid: np.ndarray, recovered_grid: np.ndarray,
         except RankOverflow:
             rl.truncated_at = pos
             break
-        if first:
-            head = BitString.from_int(pos, params.position_bits)
-            rl.first_abs_position = pos
-            rl.first_rank = rank
-        else:
-            head = BitString.from_int(delta1, params.lambda1)
-            rl.records.append((delta1, rank))
+        head = (BitString.from_int(pos, params.position_bits) if first
+                else BitString.from_int(delta1, params.lambda1))
         bits += head + BitString.from_int(rank, params.lambda2)
         rl.positions.append(pos)
         work[pos] = true_tok

@@ -41,17 +41,6 @@ class OptimReport:
     final_loss: float
     steps_run: int
     loss_trace: list[float] = field(default_factory=list)
-    errors_before: int | None = None
-    errors_after: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "final_loss": self.final_loss,
-            "steps_run": self.steps_run,
-            "loss_trace": self.loss_trace,
-            "errors_before": self.errors_before,
-            "errors_after": self.errors_after,
-        }
 
 
 def _forward_latents(latents: np.ndarray, tokenizer: Tokenizer,
@@ -93,7 +82,6 @@ def loss_and_gradient(latents: np.ndarray, received: np.ndarray,
 
 def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
                     tokenizer: Tokenizer, config: OptimConfig,
-                    true_grid: np.ndarray | None = None,
                     ) -> tuple[np.ndarray, OptimReport]:
     """Adam over continuous latents, then one final quantization.
 
@@ -145,9 +133,5 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
         if resim_loss(opt_grid) < resim_loss(init_grid):
             final_grid = opt_grid
 
-    report = OptimReport(final_loss=value, steps_run=steps_run,
-                         loss_trace=trace)
-    if true_grid is not None:
-        report.errors_before = int(np.count_nonzero(init_grid != true_grid))
-        report.errors_after = int(np.count_nonzero(final_grid != true_grid))
-    return final_grid, report
+    return final_grid, OptimReport(final_loss=value, steps_run=steps_run,
+                                   loss_trace=trace)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channel as chan
-from .bits import (BitString, KeyedStream, StegoKey, frame_message,
-                   unframe_lenient, unframe_message)
+from .bits import (HEADER_BITS, BitString, KeyedStream, StegoKey,
+                   frame_message, unframe_lenient, unframe_message)
 from .codec import embed_sequence, extract_sequence
 from .config import PipelineConfig
 from .ecc import EccEncodeResult, EccParams, ecc_decode, ecc_encode, position_cost_stats
@@ -83,9 +83,6 @@ class EmbedResult:
     condition_id: int
     text: StegoText | None = None
     ecc: EccEncodeResult | None = None
-    simulated_received: np.ndarray | None = None
-    simulated_grid: np.ndarray | None = None
-    sim_report: OptimReport | None = None
 
 
 def embed_message(pipe: Pipeline, key: StegoKey,
@@ -122,11 +119,8 @@ def _attach_correction_text(pipe: Pipeline, key: StegoKey,
     """
     cfg = pipe.cfg
     received_sim = chan.apply(cfg.channel, result.image)
-    sim_grid, sim_report = optimize_tokens(received_sim, cfg.channel,
-                                           pipe.tokenizer, cfg.optim)
-    result.simulated_received = received_sim
-    result.simulated_grid = sim_grid
-    result.sim_report = sim_report
+    sim_grid, _ = optimize_tokens(received_sim, cfg.channel, pipe.tokenizer,
+                                  cfg.optim)
     pair = cfg.lambda1 + cfg.lambda2
     budget = cfg.max_tokens * 8
     while True:
@@ -141,7 +135,7 @@ def _attach_correction_text(pipe: Pipeline, key: StegoKey,
             if budget == 0:
                 raise
             realized = exc.realized_bits or 0
-            budget = max(0, min(realized - 32, budget - pair))
+            budget = max(0, min(realized - HEADER_BITS, budget - pair))
             continue
         result.text = text
         result.ecc = enc
@@ -190,7 +184,7 @@ def extract_message(pipe: Pipeline, key: StegoKey, received: np.ndarray,
     except TruncatedFrame:
         message = unframe_lenient(
             framed, KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)),
-            max(0, len(framed) - 32))
+            max(0, len(framed) - HEADER_BITS))
     return ExtractResult(grid_stage1=grid1, grid_stage2=grid2,
                          grid_stage3=grid3, message=message,
                          framed_bits=framed, opt_report=report,
@@ -444,6 +438,8 @@ def run_sweep(cfg: PipelineConfig, channels=None, max_tokens=None,
               n_seeds: int = 5, jobs: int = 1,
               message_bits: int = 500) -> dict:
     """One row per (variant, seed); aggregates are mean/std over seeds."""
+    if n_seeds < 1:
+        raise MalformedInput(f"seeds must be >= 1, got {n_seeds}")
     variants = sweep_variants(cfg, channels, max_tokens)
     tasks = [(label, vcfg, seed, message_bits)
              for label, vcfg in variants for seed in range(n_seeds)]

@@ -26,6 +26,7 @@ from scipy import stats
 from .bits import KeyedStream, StegoKey
 from .codec import copy_index_trace, embed_sequence, sample_sequence
 from .config import PipelineConfig
+from .errors import MalformedInput
 from .pipeline import IMAGE_DOMAIN, derive_key
 from .token_model import condition_from_key
 
@@ -166,6 +167,8 @@ def run_security_test(cfg: PipelineConfig, n_samples: int,
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
+    if n_samples < 1:
+        raise MalformedInput(f"samples must be >= 1, got {n_samples}")
     positions = cfg.security_positions
     vocab = cfg.image_model.vocab_size
     counts_a = np.zeros((positions, vocab), dtype=np.int64)

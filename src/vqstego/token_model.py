@@ -42,6 +42,8 @@ class ModelSpec:
             raise ValueError("require 1 <= top_k <= vocab_size")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.context_order < 0:
+            raise ValueError("context_order must be >= 0")
         if self.num_conditions < 1:
             raise ValueError("num_conditions must be >= 1")
 
@@ -50,7 +52,7 @@ class Distribution:
     """Truncated next-token distribution with canonical interval layout.
 
     `cum[i]` is the upper edge of token i's half-open interval; cum[-1] is
-    forced to exactly 1.0 so the intervals partition [0,1).
+    forced to exactly 1.0 so each r in [0,1) falls in exactly one interval.
     """
 
     __slots__ = ("token_ids", "probs", "cum")
@@ -67,27 +69,12 @@ class Distribution:
     def __len__(self) -> int:
         return len(self.token_ids)
 
-    @property
-    def max_prob(self) -> float:
-        return float(self.probs[0])
-
-    def intervals(self) -> list[tuple[int, float, float]]:
-        lo = 0.0
-        out = []
-        for tok, hi in zip(self.token_ids, self.cum):
-            out.append((int(tok), lo, float(hi)))
-            lo = float(hi)
-        return out
-
     def locate(self, r: float) -> int:
-        """Token whose half-open interval contains r in [0,1)."""
+        """Token whose half-open interval holds r in [0,1)."""
         return int(self.token_ids[np.searchsorted(self.cum, r, side="right")])
 
     def locate_many(self, rs: np.ndarray) -> np.ndarray:
         return self.token_ids[np.searchsorted(self.cum, rs, side="right")]
-
-    def contains(self, token: int) -> bool:
-        return bool(np.any(self.token_ids == token))
 
 
 def _logits(spec: ModelSpec, condition: Condition, context: Sequence[int],

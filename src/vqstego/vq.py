@@ -79,15 +79,6 @@ class Tokenizer:
     def image_shape(self) -> tuple[int, int, int]:
         return (self.height, self.width, _CHANNELS)
 
-    @property
-    def n_cells(self) -> int:
-        return self.grid_h * self.grid_w
-
-    @property
-    def lipschitz(self) -> float:
-        """Per-cell bound on ||decode(z) - decode(z')|| / ||z - z'||."""
-        return self.alpha * float(np.linalg.norm(self.weight, 2))
-
     def _check_grid(self, grid: np.ndarray) -> np.ndarray:
         grid = np.asarray(grid)
         if grid.shape != (self.grid_h, self.grid_w):

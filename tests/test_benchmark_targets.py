@@ -3,16 +3,26 @@
 `perfbench/tracer.py` looks each entry of its TARGETS up as
 ``owner.__dict__[attr]``, so renaming or deleting a traced function breaks
 the traced benchmark run, and `perfbench/workloads.py` and `setup_probe.py`
-build their messages with the `BitString` constructor. These tests keep
-both working, so an API change that would break the benchmark fails here.
+build their messages with the `BitString` constructor. The tracer's
+observers and the workloads' checks also read result fields and bind the
+codec walks' arguments by name. These tests keep all of that working, so an
+API change that would break the benchmark fails here.
 """
 
 import importlib.util
+import inspect
+import pkgutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import vqstego
 from vqstego.bits import BitString
+from vqstego.ecc import EccEncodeResult, ErrorRecordList
+from vqstego.optimizer import OptimReport
+from vqstego.pipeline import EmbedResult, ExtractResult, RunMetrics
+from vqstego.security import SecurityReport
+from vqstego.text_channel import StegoText
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +61,45 @@ def test_benchmark_messages_build():
     probe = BitString([1, 0] * 8)
     assert len(probe) == 16
     assert probe == BitString.from01("10" * 8)
+
+
+def test_result_fields_the_benchmark_reads():
+    read = {
+        # tracer observers
+        OptimReport: {"steps_run"},
+        EccEncodeResult: {"corrected_count", "record_list"},
+        ErrorRecordList: {"truncated_at"},
+        # workloads: NoisyRoundtrip.op, _quality and _check_scored
+        RunMetrics: {"message_bits", "recovered_exact", "r_q_stage1",
+                     "r_q_stage2", "r_q_stage3", "cap"},
+        EmbedResult: {"image", "text"},
+        StegoText: {"tokens"},
+        ExtractResult: {"message"},
+        # workloads: SecurityBattery.op
+        SecurityReport: {"pooled_p", "ks_p"},
+    }
+    missing = [f"{cls.__name__}.{name}" for cls, names in read.items()
+               for name in sorted(names - {f.name for f in fields(cls)})]
+    assert not missing
+
+
+def test_walk_parameters_the_tracer_binds():
+    tracer = _load("tracer")
+    for walk in tracer.WALKS:
+        module_name, _, name = walk.partition(".")
+        params = inspect.signature(
+            getattr(getattr(vqstego, module_name), name)).parameters
+        assert {"model", "condition", "key", "domain"} <= set(params), walk
+
+
+def test_package_namespace():
+    # the end-to-end entry points; every layer stays reachable as
+    # vqstego.<module>, which the tracer's getattr lookups rely on
+    assert sorted(vqstego.__all__) == sorted([
+        "BitString", "StegoKey", "PipelineConfig", "default_config",
+        "load_config", "Pipeline", "derive_key", "embed_message",
+        "extract_message", "benchmark_run", "run_security_test",
+        "parse_channel", "StegoError"])
+    assert all(hasattr(vqstego, name) for name in vqstego.__all__)
+    modules = {m.name for m in pkgutil.iter_modules(vqstego.__path__)}
+    assert all(hasattr(vqstego, name) for name in modules - {"cli"})

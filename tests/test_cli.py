@@ -185,6 +185,44 @@ class TestExitCodes:
         assert exc_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, ini, flags", [
+        # seeds are hashed as signed 64-bit integers
+        ("embed", "[run]\nseed = 9223372036854775808\n", []),
+        ("embed", "", ["--seed", "9223372036854775808"]),
+        ("security-test", "", ["--seed", "-9223372036854775809"]),
+        ("embed", "[channel]\nnoise_seed = 9223372036854775808\n", []),
+        # one cell leaves no bits to address a correction, ECC on or off
+        ("embed", "[vq]\ngrid_h = 1\ngrid_w = 1\n[ecc]\nenabled = false\n",
+         []),
+        ("embed", "[image_model]\ncontext_order = -1\n", []),
+        ("embed", "[text]\nmax_tokens = 0\n", []),
+        ("security-test", "[run]\nsecurity_positions = -1\n", []),
+        ("security-test", "", ["--samples", "0"]),
+        ("security-test", "", ["--samples", "-1"]),
+        ("sweep", "", ["--seeds", "-2"]),
+        ("sweep", "", ["--seeds", "0"]),
+        ("sweep", "", ["--max-tokens", "5,x"]),
+    ], ids=["ini-seed", "seed-flag", "negative-seed-flag", "noise-seed",
+            "one-cell-grid", "context-order", "max-tokens", "positions",
+            "zero-samples", "negative-samples", "negative-seeds",
+            "zero-seeds", "max-tokens-list"])
+    def test_out_of_range_input_is_malformed(self, tmp_path, capsys, command,
+                                             ini, flags):
+        config = tmp_path / "case.ini"
+        config.write_text(ini)
+        argv = [command]
+        if command == "embed":
+            msg = tmp_path / "m.txt"
+            msg.write_text("0101")
+            argv.append(str(msg))
+        argv += flags + ["--config", str(config), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "stego.vqi").exists()
+        assert not (tmp_path / "security_report.json").exists()
+        assert not (tmp_path / "sweep_rows.jsonl").exists()
+
     def test_bad_key_is_malformed(self, tmp_path):
         msg = tmp_path / "m.txt"
         msg.write_text("0101")

@@ -63,7 +63,8 @@ class TestStepCapacity:
         # k* <= ceil(log2(1/p_max)): shifts finer than the widest interval
         # must collide inside it.
         d = next_distribution(MODEL, COND, [], pos)
-        assert step_capacity(d, r) <= math.ceil(math.log2(1.0 / d.max_prob))
+        # probs[0] is the largest: the canonical order is probability-descending
+        assert step_capacity(d, r) <= math.ceil(math.log2(1.0 / d.probs[0]))
 
 
 class TestEmbedExtractStep:

@@ -94,7 +94,7 @@ class TestProximityRank:
         g = true_grid(3)
         pos = 4
         d = next_distribution(MODEL, COND, g[:pos].tolist(), pos)
-        missing = next(t for t in range(256) if not d.contains(t))
+        missing = next(t for t in range(256) if t not in d.token_ids)
         with pytest.raises(RankOverflow):
             proximity_rank(pos, int(g[pos]), missing, g[:pos].tolist(),
                            MODEL, COND, BOOK, PARAMS)
@@ -124,13 +124,19 @@ class TestEncodeDecode:
         g = true_grid(5)
         r = corrupt(g, [24, 27, 35], rng)
         enc = ecc_encode(g, r, MODEL, COND, BOOK, PARAMS, budget_bits=1000)
-        rl = enc.record_list
-        assert rl.first_abs_position == 24
-        assert [d1 for d1, _ in rl.records] == [3, 8]
-        assert rl.positions == [24, 27, 35]
+        assert enc.record_list.positions == [24, 27, 35]
         assert enc.corrected_count == 3
-        assert enc.bits[:9].to_int() == 24
-        assert enc.bits[9 + 8:9 + 16].to_int() == 3
+        # each rank is taken against the corrected prefix, which is g[:pos]
+        ranks = [proximity_rank(pos, int(r[pos]), int(g[pos]),
+                                g[:pos].tolist(), MODEL, COND, BOOK, PARAMS)
+                 for pos in (24, 27, 35)]
+        fields = [(24, 9), (ranks[0], 8), (3, 8), (ranks[1], 8), (8, 8),
+                  (ranks[2], 8)]
+        at = 0
+        for value, width in fields:
+            assert enc.bits[at:at + width].to_int() == value
+            at += width
+        assert len(enc.bits) == at
 
     def test_no_errors_empty(self):
         g = true_grid(6)

@@ -104,10 +104,9 @@ class TestOptimize:
     def test_noiseless_returns_true_grid(self, tokenizer):
         grid, _, img = true_setup(tokenizer, 7)
         received = chan.apply(LOSSLESS, img)
-        out, report = optimize_tokens(received, LOSSLESS, tokenizer,
-                                      OptimConfig(steps=50))
-        assert np.array_equal(out, grid)
-        assert report.errors_before is None
+        out, _ = optimize_tokens(received, LOSSLESS, tokenizer,
+                                 OptimConfig(steps=50))
+        assert np.count_nonzero(out != grid) == 0
 
     def test_zero_learning_rate_is_reencode(self, tokenizer):
         spec = ChannelSpec((GaussianStage(0.02),), noise_seed=2)
@@ -124,10 +123,12 @@ class TestOptimize:
         for seed in range(3):
             grid, _, img = true_setup(tokenizer, 20 + seed)
             received = chan.apply(spec, img)
-            out, report = optimize_tokens(received, spec, tokenizer,
-                                          OptimConfig(), true_grid=grid)
-            assert report.errors_after <= report.errors_before
-            assert report.errors_after == 0
+            reencoded = tokenizer.quantize(tokenizer.encode(received))
+            out, _ = optimize_tokens(received, spec, tokenizer,
+                                     OptimConfig())
+            after = np.count_nonzero(out != grid)
+            assert after <= np.count_nonzero(reencoded != grid)
+            assert after == 0
 
     def test_loss_trace_descends(self, tokenizer):
         spec = ChannelSpec((GaussianStage(0.02),), noise_seed=5)
@@ -190,10 +191,13 @@ class TestOptimize:
         spec = ChannelSpec((GaussianStage(0.01),), noise_seed=8)
         grid, _, img = true_setup(tokenizer, 12)
         received = chan.apply(spec, img)
+        reencoded = tokenizer.quantize(tokenizer.encode(received))
         out, _ = optimize_tokens(
             received, spec, tokenizer,
-            OptimConfig(steps=200, quantize_in_loop=True), true_grid=grid)
+            OptimConfig(steps=200, quantize_in_loop=True))
         assert out.shape == grid.shape
+        assert (np.count_nonzero(out != grid)
+                <= np.count_nonzero(reencoded != grid))
 
     def test_non_finite_loss_raises(self, tokenizer):
         # a received image whose residual norm overflows to inf

@@ -25,9 +25,10 @@ class TestDistribution:
         assert d.token_ids.tolist() == [4, 9]
 
     def test_intervals_partition(self):
+        # b -> [0, 0.6), a -> [0.6, 1.0): ids in layout order, upper edges
         d = two_token_dist()
-        assert d.intervals() == [(1, 0.0, 0.6), (0, 0.6, 1.0)]
-        assert d.cum[-1] == 1.0
+        assert d.token_ids.tolist() == [1, 0]
+        assert d.cum.tolist() == [0.6, 1.0]
 
     def test_locate_two_token_layout(self):
         # Canonical layout of {a: 0.4, b: 0.6} is b -> [0, 0.6), a -> [0.6, 1):
@@ -38,10 +39,6 @@ class TestDistribution:
         assert d.locate(0.6) == 0   # boundary belongs to the next interval
         assert d.locate(0.999) == 0
         assert d.locate(0.0) == 1
-
-    def test_contains(self):
-        d = two_token_dist()
-        assert d.contains(0) and d.contains(1) and not d.contains(7)
 
 
 class TestNextDistribution:
@@ -56,7 +53,7 @@ class TestNextDistribution:
         d = next_distribution(spec, COND, [], 0)
         assert len(d) == 1
         assert d.probs[0] == 1.0
-        assert d.intervals()[0][1:] == (0.0, 1.0)
+        assert d.cum.tolist() == [1.0]  # one token covers [0, 1)
 
     def test_high_temperature_flattens(self):
         # [DERIVED] max/min probability ratio -> 1 within 1% at T = 1e4.

@@ -111,7 +111,7 @@ class TestDecodeEncode:
 
     def test_decode_lipschitz_bound(self, tokenizer):
         # per-cell: ||decode(z+d) - decode(z)|| <= alpha * ||W||_2 * ||d||.
-        bound = tokenizer.lipschitz
+        bound = tokenizer.alpha * np.linalg.norm(tokenizer.weight, 2)
         rng = np.random.Generator(np.random.PCG64(4))
         z = rng.standard_normal((24, 24, 8))
         for _ in range(20):
