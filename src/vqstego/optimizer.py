@@ -20,20 +20,24 @@ from .errors import NonFiniteLoss, ShapeMismatch
 from .vq import Tokenizer
 
 
+# Adam's published defaults (Kingma & Ba 2015) with a fixed step size; the
+# loop stops early once the loss has not improved by PLATEAU_TOL for
+# PLATEAU_WINDOW steps.
+LEARNING_RATE = 0.002
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+PLATEAU_TOL = 1e-10
+PLATEAU_WINDOW = 100
+
+
 @dataclass(frozen=True)
 class OptimConfig:
-    learning_rate: float = 0.002
     steps: int = 2000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    plateau_tol: float = 1e-10
-    plateau_window: int = 100
-    quantize_in_loop: bool = False
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.steps < 1:
-            raise ValueError("require learning_rate >= 0 and steps >= 1")
+        if self.steps < 1:
+            raise ValueError("require steps >= 1")
 
 
 @dataclass
@@ -43,19 +47,9 @@ class OptimReport:
     loss_trace: list[float] = field(default_factory=list)
 
 
-def _forward_latents(latents: np.ndarray, tokenizer: Tokenizer,
-                     config: OptimConfig) -> np.ndarray:
-    if config.quantize_in_loop:
-        # straight-through: decode from snapped vectors, gradient w.r.t. raw z
-        return tokenizer.codebook.vectors[tokenizer.quantize(latents)]
-    return latents
-
-
 def loss(latents: np.ndarray, received: np.ndarray, spec: ChannelSpec,
-         tokenizer: Tokenizer,
-         config: OptimConfig = OptimConfig()) -> float:
-    decoded = tokenizer.decode_continuous(
-        _forward_latents(latents, tokenizer, config))
+         tokenizer: Tokenizer) -> float:
+    decoded = tokenizer.decode_continuous(latents)
     if decoded.shape != received.shape:
         raise ShapeMismatch(f"{decoded.shape} vs {received.shape}")
     return float(np.linalg.norm(received - chan.apply_smooth(spec, decoded)))
@@ -63,11 +57,9 @@ def loss(latents: np.ndarray, received: np.ndarray, spec: ChannelSpec,
 
 def loss_and_gradient(latents: np.ndarray, received: np.ndarray,
                       spec: ChannelSpec, tokenizer: Tokenizer,
-                      config: OptimConfig = OptimConfig(),
                       ) -> tuple[float, np.ndarray]:
     """Analytic gradient via the chain rule; matches central differences."""
-    decoded, cells = tokenizer.decode_continuous(
-        _forward_latents(latents, tokenizer, config), with_cells=True)
+    decoded, cells = tokenizer.decode_continuous(latents, with_cells=True)
     if decoded.shape != received.shape:
         raise ShapeMismatch(f"{decoded.shape} vs {received.shape}")
     out, tape = chan.apply_smooth_with_tape(spec, decoded)
@@ -96,30 +88,30 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
     m = np.zeros_like(z)
     v = np.zeros_like(z)
     trace: list[float] = []
-    value = loss(z, received, spec, tokenizer, config)
+    value = loss(z, received, spec, tokenizer)
     best_recent = value
     since_improvement = 0
     stride = max(1, config.steps // 100)
     steps_run = 0
     for t in range(1, config.steps + 1):
-        value, g = loss_and_gradient(z, received, spec, tokenizer, config)
+        value, g = loss_and_gradient(z, received, spec, tokenizer)
         if not np.isfinite(value):
             raise NonFiniteLoss(f"loss diverged at step {t}")
         if t % stride == 1 or stride == 1:
             trace.append(value)
-        if value < best_recent - config.plateau_tol:
+        if value < best_recent - PLATEAU_TOL:
             best_recent = value
             since_improvement = 0
         else:
             since_improvement += 1
-            if since_improvement >= config.plateau_window:
+            if since_improvement >= PLATEAU_WINDOW:
                 steps_run = t
                 break
-        m = config.beta1 * m + (1.0 - config.beta1) * g
-        v = config.beta2 * v + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
-        z = z - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        z = z - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPS)
         steps_run = t
 
     opt_grid = tokenizer.quantize(z)

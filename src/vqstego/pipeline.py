@@ -216,27 +216,31 @@ class RunMetrics:
         return dict(self.__dict__)
 
 
-def _r_q(grid: np.ndarray, true_grid: np.ndarray) -> float:
-    return 100.0 * float(np.mean(grid == true_grid))
-
-
-def _cap(framed: BitString, key: StegoKey, true_message: BitString) -> int:
-    """Correct-prefix length of the extracted message against the truth."""
+def _recovery(extracted: ExtractResult, key: StegoKey,
+              true_message: BitString, true_grid: np.ndarray) -> dict:
+    """Per-stage token recovery (% of cells), the correct-prefix length of
+    the extracted message (`cap`) and exact recovery, against the truth."""
+    scores: dict = {
+        f"r_q_stage{i}": 100.0 * float(np.mean(grid == true_grid))
+        for i, grid in enumerate((extracted.grid_stage1,
+                                  extracted.grid_stage2,
+                                  extracted.grid_stage3), start=1)}
     lenient = unframe_lenient(
-        framed, KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)),
-        len(true_message))
+        extracted.framed_bits,
+        KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)), len(true_message))
     cap = 0
     for got, want in zip(lenient, true_message):
         if got != want:
             break
         cap += 1
-    return cap
+    scores["cap"] = cap
+    scores["recovered_exact"] = extracted.message == true_message
+    return scores
 
 
 def score_run(pipe: Pipeline, key: StegoKey, embedded: EmbedResult,
               extracted: ExtractResult, true_message: BitString,
               seed: int) -> RunMetrics:
-    true_grid = embedded.grid
     ecc_stats = None
     if embedded.ecc is not None:
         ecc_stats = position_cost_stats(embedded.ecc.record_list.positions,
@@ -246,11 +250,7 @@ def score_run(pipe: Pipeline, key: StegoKey, embedded: EmbedResult,
         seed=seed,
         message_bits=len(true_message),
         embedded_bits=embedded.embedded_bits,
-        r_q_stage1=_r_q(extracted.grid_stage1, true_grid),
-        r_q_stage2=_r_q(extracted.grid_stage2, true_grid),
-        r_q_stage3=_r_q(extracted.grid_stage3, true_grid),
-        cap=_cap(extracted.framed_bits, key, true_message),
-        recovered_exact=extracted.message == true_message,
+        **_recovery(extracted, key, true_message, embedded.grid),
         final_loss=extracted.opt_report.final_loss,
         opt_steps=extracted.opt_report.steps_run,
         text_payload_bits=(embedded.text.payload_bits
@@ -373,14 +373,7 @@ def run_extract(cfg: PipelineConfig, image_path, text_path=None,
         "opt_steps": extracted.opt_report.steps_run,
     }
     if truth is not None:
-        true_message, true_grid = truth
-        info.update({
-            "r_q_stage1": _r_q(extracted.grid_stage1, true_grid),
-            "r_q_stage2": _r_q(extracted.grid_stage2, true_grid),
-            "r_q_stage3": _r_q(extracted.grid_stage3, true_grid),
-            "cap": _cap(extracted.framed_bits, key, true_message),
-            "recovered_exact": extracted.message == true_message,
-        })
+        info.update(_recovery(extracted, key, *truth))
     return extracted.message, info
 
 
@@ -440,6 +433,8 @@ def run_sweep(cfg: PipelineConfig, channels=None, max_tokens=None,
     """One row per (variant, seed); aggregates are mean/std over seeds."""
     if n_seeds < 1:
         raise MalformedInput(f"seeds must be >= 1, got {n_seeds}")
+    if message_bits < 0:
+        raise MalformedInput(f"message bits must be >= 0, got {message_bits}")
     variants = sweep_variants(cfg, channels, max_tokens)
     tasks = [(label, vcfg, seed, message_bits)
              for label, vcfg in variants for seed in range(n_seeds)]

@@ -156,7 +156,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("section, key, value", [
         ("vq", "alpha", "nan"),
         ("image_model", "temperature", "nan"),
-        ("optimizer", "learning_rate", "inf"),
+        ("vq", "weight_scale", "inf"),
         ("channel", "spec", "gaussian:nan"),
         ("channel", "spec", "gaussian:inf"),
     ])
@@ -170,6 +170,30 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "stego.vqi").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "0.01"),
+        ("beta1", "1"),
+        ("beta1", "2"),
+        ("beta2", "1"),
+        ("eps", "0"),
+        ("plateau_tol", "-1"),
+        ("plateau_window", "0"),
+        ("quantize_in_loop", "true"),
+    ])
+    def test_fixed_optimizer_setting_is_unknown(self, tmp_path, capsys, key,
+                                                value):
+        # only the step cap of the Adam recovery is a setting
+        ini = tmp_path / "optim.ini"
+        ini.write_text(f"[optimizer]\nsteps = 30\n{key} = {value}\n")
+        msg = tmp_path / "m.txt"
+        msg.write_text("0101")
+        assert main(["embed", str(msg), "--config", str(ini),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"unknown key {key!r}" in err
         assert not (tmp_path / "stego.vqi").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -202,10 +226,16 @@ class TestExitCodes:
         ("sweep", "", ["--seeds", "-2"]),
         ("sweep", "", ["--seeds", "0"]),
         ("sweep", "", ["--max-tokens", "5,x"]),
+        # a negative length would run every row over an empty message
+        ("sweep", "[optimizer]\nsteps = 30\n",
+         ["--seeds", "1", "--message-bits", "-1"]),
+        ("sweep", "[optimizer]\nsteps = 30\n",
+         ["--seeds", "1", "--message-bits", "-9"]),
     ], ids=["ini-seed", "seed-flag", "negative-seed-flag", "noise-seed",
             "one-cell-grid", "context-order", "max-tokens", "positions",
             "zero-samples", "negative-samples", "negative-seeds",
-            "zero-seeds", "max-tokens-list"])
+            "zero-seeds", "max-tokens-list", "negative-message-bits",
+            "negative-message-bytes"])
     def test_out_of_range_input_is_malformed(self, tmp_path, capsys, command,
                                              ini, flags):
         config = tmp_path / "case.ini"

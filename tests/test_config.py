@@ -1,10 +1,12 @@
+import re
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 
 from vqstego.channel import (ChannelSpec, GaussianStage, QuantizeStage,
                              parse_channel)
-from vqstego.config import default_config, dumps, load_config, loads
+from vqstego.config import _layout, default_config, dumps, load_config, loads
 from vqstego.errors import MalformedInput
 
 # The manifest records config_hash(), so the INI text is part of the format.
@@ -41,14 +43,7 @@ spec = lossless
 noise_seed = 0
 
 [optimizer]
-learning_rate = 0.002
 steps = 2000
-beta1 = 0.9
-beta2 = 0.999
-eps = 1e-08
-plateau_tol = 1e-10
-plateau_window = 100
-quantize_in_loop = false
 
 [ecc]
 enabled = true
@@ -102,7 +97,7 @@ class TestConfig:
 
     def test_default_ini_is_pinned(self):
         assert dumps(default_config()) == DEFAULT_INI
-        assert default_config().config_hash() == "884aae564280596c"
+        assert default_config().config_hash() == "f38aec2da93d48ec"
 
     def test_every_field_round_trips(self):
         base = default_config()
@@ -164,3 +159,27 @@ class TestConfig:
         path = tmp_path / "c.ini"
         path.write_text(dumps(default_config()))
         assert load_config(path) == default_config()
+
+
+def _readme_config_table() -> dict[str, list[str]]:
+    """{section: keys} from the README "Configuration" table.
+
+    A row names one or more sections and lists their keys in backticks; a
+    parenthesised example after a key is not a key.
+    """
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = line.split("|")
+        if len(cells) != 4 or not cells[1].strip().startswith("`["):
+            continue
+        keys = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cells[2]))
+        for section in re.findall(r"`\[(\w+)\]`", cells[1]):
+            table[section] = keys
+    return table
+
+
+def test_readme_config_table_lists_every_key():
+    layout = _layout(default_config())
+    assert _readme_config_table() == {
+        section: list(items) for section, items in layout.items()}

@@ -108,15 +108,6 @@ class TestOptimize:
                                  OptimConfig(steps=50))
         assert np.count_nonzero(out != grid) == 0
 
-    def test_zero_learning_rate_is_reencode(self, tokenizer):
-        spec = ChannelSpec((GaussianStage(0.02),), noise_seed=2)
-        grid, _, img = true_setup(tokenizer, 8)
-        received = chan.apply(spec, img)
-        out, _ = optimize_tokens(received, spec, tokenizer,
-                                 OptimConfig(learning_rate=0.0, steps=5))
-        assert np.array_equal(out,
-                              tokenizer.quantize(tokenizer.encode(received)))
-
     def test_improves_over_reencode(self, tokenizer):
         # [DERIVED] paired comparison on a small seeded suite.
         spec = ChannelSpec((GaussianStage(0.02),), noise_seed=3)
@@ -171,33 +162,20 @@ class TestOptimize:
         spec = ChannelSpec((GaussianStage(0.02),), noise_seed=7)
         grid, _, img = true_setup(mild_tokenizer, 11)
         received = chan.apply(spec, img)
-        cfg = OptimConfig(steps=10, plateau_window=10_000)
-        out, report = optimize_tokens(received, spec, mild_tokenizer, cfg)
+        out, report = optimize_tokens(received, spec, mild_tokenizer,
+                                      OptimConfig(steps=10))
         z = mild_tokenizer.encode(received)
         m = np.zeros_like(z)
         v = np.zeros_like(z)
         last = None
         for t in range(1, 11):
-            last, g = loss_and_gradient(z, received, spec, mild_tokenizer,
-                                        cfg)
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-            m_hat = m / (1.0 - cfg.beta1**t)
-            v_hat = v / (1.0 - cfg.beta2**t)
-            z = z - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            last, g = loss_and_gradient(z, received, spec, mild_tokenizer)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            z = z - 0.002 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert report.final_loss == pytest.approx(last, rel=0, abs=0)
-
-    def test_quantize_in_loop_flag(self, tokenizer):
-        spec = ChannelSpec((GaussianStage(0.01),), noise_seed=8)
-        grid, _, img = true_setup(tokenizer, 12)
-        received = chan.apply(spec, img)
-        reencoded = tokenizer.quantize(tokenizer.encode(received))
-        out, _ = optimize_tokens(
-            received, spec, tokenizer,
-            OptimConfig(steps=200, quantize_in_loop=True))
-        assert out.shape == grid.shape
-        assert (np.count_nonzero(out != grid)
-                <= np.count_nonzero(reencoded != grid))
 
     def test_non_finite_loss_raises(self, tokenizer):
         # a received image whose residual norm overflows to inf
@@ -206,8 +184,6 @@ class TestOptimize:
             optimize_tokens(bad, LOSSLESS, tokenizer, OptimConfig(steps=5))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             OptimConfig(steps=0)
 
