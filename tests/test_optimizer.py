@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from vqstego import channel as chan
+from vqstego import optimizer
 from vqstego.channel import ChannelSpec, GaussianStage, parse_channel
 from vqstego.errors import NonFiniteLoss, ShapeMismatch
-from vqstego.optimizer import (OptimConfig, loss, loss_and_gradient,
+from vqstego.optimizer import (OptimConfig, _adam, loss, loss_and_gradient,
                                optimize_tokens)
 from vqstego.vq import build_codebook, build_tokenizer
 
@@ -162,9 +163,17 @@ class TestOptimize:
         spec = ChannelSpec((GaussianStage(0.02),), noise_seed=7)
         grid, _, img = true_setup(mild_tokenizer, 11)
         received = chan.apply(spec, img)
-        out, report = optimize_tokens(received, spec, mild_tokenizer,
-                                      OptimConfig(steps=10))
-        z = mild_tokenizer.encode(received)
+        losses = []
+
+        def evaluate(latents):
+            value, g = loss_and_gradient(latents, received, spec,
+                                         mild_tokenizer)
+            losses.append(value)
+            return value, g
+
+        z0 = mild_tokenizer.encode(received)
+        z_out = _adam(z0, evaluate, 10)
+        z = z0
         m = np.zeros_like(z)
         v = np.zeros_like(z)
         last = None
@@ -175,7 +184,41 @@ class TestOptimize:
             m_hat = m / (1.0 - 0.9**t)
             v_hat = v / (1.0 - 0.999**t)
             z = z - 0.002 * m_hat / (np.sqrt(v_hat) + 1e-8)
-        assert report.final_loss == pytest.approx(last, rel=0, abs=0)
+        assert len(losses) == 10
+        assert losses[-1] == pytest.approx(last, rel=0, abs=0)
+        assert np.array_equal(z_out, z)
+
+    @pytest.mark.parametrize("steps", [1, 5, 37, 300])
+    def test_steps_cap_all_evaluations(self, tokenizer, monkeypatch, steps):
+        # the cap is shared by both phases and enforced inside the L-BFGS
+        # line search; steps_run counts every evaluation, as the benchmark
+        # tracer does by patching the module attribute
+        spec = parse_channel("gaussian:0.01,quantize:32,rescale:0.5", 2)
+        grid, _, img = true_setup(tokenizer, 13)
+        received = chan.apply(spec, img)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return loss_and_gradient(*args)
+
+        monkeypatch.setattr(optimizer, "loss_and_gradient", counted)
+        _, report = optimize_tokens(received, spec, tokenizer,
+                                    OptimConfig(steps=steps))
+        assert report.steps_run <= steps
+        assert report.steps_run == len(calls)
+
+    def test_quantize16_recovers_every_token(self, tokenizer):
+        # Adam from the re-encoded latents stalls on this hard quantize
+        # stage with wrong tokens at the cap; L-BFGS first gets past it
+        spec = parse_channel("quantize:16", 0)
+        for seed in range(4):
+            grid, _, img = true_setup(tokenizer, seed)
+            received = chan.apply(spec, img)
+            out, report = optimize_tokens(received, spec, tokenizer,
+                                          OptimConfig())
+            assert np.count_nonzero(out != grid) == 0
+            assert report.steps_run < OptimConfig().steps
 
     def test_non_finite_loss_raises(self, tokenizer):
         # a received image whose residual norm overflows to inf
@@ -188,4 +231,4 @@ class TestOptimize:
             OptimConfig(steps=0)
 
 
-GOLDEN_TRACE = [25.814919826264283, 25.764032718372842, 25.713351634418913]
+GOLDEN_TRACE = [25.814919826264283, 25.244644438479042, 22.982469647855375]
