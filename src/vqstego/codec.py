@@ -34,15 +34,20 @@ class StepOutcome:
 def step_capacity(dist: Distribution, r: float) -> int:
     """Largest k such that the 2^k cyclic shifts of r hit distinct tokens.
 
-    Distinctness is monotone in k (the 2^(k-1) shift set is a subset of the
-    2^k set), so the ascending search stops at the first collision.
+    One search locates the shifts r + j/fine (mod 1), fine = 2^floor(log2 n);
+    the 2^k grid is every (fine >> k)-th of them. Those are the doubles a
+    direct 2^k grid gives, since i/2^k and (i * fine/2^k)/fine are one dyadic
+    value, and distinct interval indices are distinct tokens. Distinctness is
+    monotone in k (each grid contains the coarser ones), so the ascending
+    search stops at the first repeat.
     """
+    fine = 1 << (len(dist).bit_length() - 1)
+    cells = np.searchsorted(dist.cum, (r + np.arange(fine) / fine) % 1.0,
+                            side="right").tolist()
     k = 0
-    while (1 << (k + 1)) <= len(dist):
-        m = 1 << (k + 1)
-        shifts = (r + np.arange(m) / m) % 1.0
-        tokens = dist.locate_many(shifts)
-        if len(np.unique(tokens)) != m:
+    while (1 << (k + 1)) <= fine:
+        grid = cells[::fine >> (k + 1)]
+        if len(set(grid)) != len(grid):
             break
         k += 1
     return k

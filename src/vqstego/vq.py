@@ -184,9 +184,11 @@ def _read_image(path) -> np.ndarray:
         if len(header) != 16 or header[:4] != _MAGIC:
             raise MalformedInput(f"{path}: not a {_MAGIC!r} image file")
         h, w, c = struct.unpack("<III", header[4:])
-        data = np.frombuffer(f.read(), dtype="<f4")
-    if data.size != h * w * c:
-        raise MalformedInput(f"{path}: truncated pixel data")
+        body = f.read()
+    if len(body) != 4 * h * w * c:
+        raise MalformedInput(f"{path}: pixel data is {len(body)} bytes, "
+                             f"header says {4 * h * w * c}")
+    data = np.frombuffer(body, dtype="<f4")
     if not np.all(np.isfinite(data)):
         raise MalformedInput(f"{path}: non-finite pixel values")
     if np.abs(data).max(initial=0.0) > 1.0:

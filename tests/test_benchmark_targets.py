@@ -17,12 +17,14 @@ from dataclasses import fields
 from pathlib import Path
 
 import vqstego
-from vqstego.bits import BitString
+from vqstego import codec
+from vqstego.bits import BitString, KeyedStream, StegoKey
 from vqstego.ecc import EccEncodeResult, ErrorRecordList
 from vqstego.optimizer import OptimReport
 from vqstego.pipeline import EmbedResult, ExtractResult, RunMetrics
 from vqstego.security import SecurityReport
 from vqstego.text_channel import StegoText
+from vqstego.token_model import Condition, ModelSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -90,6 +92,35 @@ def test_walk_parameters_the_tracer_binds():
         params = inspect.signature(
             getattr(getattr(vqstego, module_name), name)).parameters
         assert {"model", "condition", "key", "domain"} <= set(params), walk
+
+
+def test_every_codec_step_calls_step_capacity_once(monkeypatch):
+    # the tracer's codec.capacity_bits_per_step and codec.payload_share
+    # divide by the codec.step_capacity calls, so each walk must make
+    # exactly one call per step, through the module attribute
+    calls = []
+    step_capacity = codec.step_capacity
+
+    def counting(dist, r):
+        calls.append(r)
+        return step_capacity(dist, r)
+
+    monkeypatch.setattr(codec, "step_capacity", counting)
+    model = ModelSpec(vocab_size=256, top_k=32, seed=1)
+    condition, key, steps = Condition(5), StegoKey(bytes(range(32))), 40
+
+    def run_walk(walk, *args):
+        calls.clear()
+        result = walk(model, condition, *args)
+        assert len(calls) == steps, walk.__name__
+        return result
+
+    message = KeyedStream(key.with_domain("m")).next_bits(60)
+    tokens, _ = run_walk(codec.embed_sequence, message, key, steps,
+                               "image")
+    run_walk(codec.sequence_capacity, key, steps, "image")
+    run_walk(codec.extract_sequence, tokens, key, "image")
+    run_walk(codec.copy_index_trace, tokens, key, "image")
 
 
 def test_package_namespace():

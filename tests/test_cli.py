@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -89,6 +90,14 @@ class TestExitCodes:
         bad = tmp_path / "bad.vqi"
         bad.write_bytes(b"not an image at all")
         assert main(["extract", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_odd_pixel_body_is_malformed(self, tmp_path, capsys):
+        # a 2-byte body cannot hold the 1x1x1 header's one float32
+        odd = tmp_path / "odd.vqi"
+        odd.write_bytes(b"VQI1" + struct.pack("<III", 1, 1, 1) + bytes(2))
+        assert main(["attack", str(odd), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("case", ["nan", "out_of_range", "wrong_size"])
     def test_bad_image_is_malformed(self, tmp_path, capsys, case):

@@ -66,6 +66,45 @@ class TestStepCapacity:
         # probs[0] is the largest: the canonical order is probability-descending
         assert step_capacity(d, r) <= math.ceil(math.log2(1.0 / d.probs[0]))
 
+    def test_matches_per_k_search_on_interval_edges(self):
+        # [DERIVED] against a reference that builds the 2^k shifts and
+        # searches them anew for every k, with r on every interval edge,
+        # just below it, half a turn from it, at 0.0 and at the largest
+        # double below 1.0. Each pair also round-trips a random copy index
+        # through embed_step and extract_step.
+        def per_k_capacity(d, r):
+            k = 0
+            while (1 << (k + 1)) <= len(d):
+                m = 1 << (k + 1)
+                if len(np.unique(d.locate_many((r + np.arange(m) / m) % 1.0))
+                       ) != m:
+                    break
+                k += 1
+            return k
+
+        rng = np.random.Generator(np.random.PCG64(11))
+        stream = pad_stream()
+        pairs = 0
+        for top_k in (1, 2, 3, 5, 32, 64):
+            model = ModelSpec(vocab_size=256, top_k=top_k, seed=2)
+            for pos in range(45):
+                d = next_distribution(model, COND, [], pos)
+                edges = d.cum[:-1]
+                rs = np.concatenate([
+                    [0.0, np.nextafter(1.0, 0.0)], edges,
+                    np.nextafter(edges, 0.0), (edges + 0.5) % 1.0,
+                    rng.random(4)])
+                for r in rs.tolist():
+                    k = step_capacity(d, r)
+                    assert k == per_k_capacity(d, r), (top_k, pos, r)
+                    index = int(rng.integers(0, 1 << k))
+                    out = embed_step(d, r, BitString.from_int(index, k),
+                                     stream)
+                    bits, got_k = extract_step(d, r, out.token)
+                    assert got_k == k and bits.to_int() == index
+                    pairs += 1
+        assert pairs >= 10_000
+
 
 class TestEmbedExtractStep:
     def test_two_token_bit_selection(self):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,14 @@ class TestImageFiles:
         write_image(path, img)
         data = path.read_bytes()
         path.write_bytes(data[:-8])
+        with pytest.raises(MalformedInput):
+            read_image(path)
+
+    @pytest.mark.parametrize("body", [2, 6, 8])
+    def test_body_not_the_header_size(self, tmp_path, body):
+        # 1x1x1 header: the body must be exactly one float32
+        path = tmp_path / "odd.vqi"
+        path.write_bytes(b"VQI1" + struct.pack("<III", 1, 1, 1) + bytes(body))
         with pytest.raises(MalformedInput):
             read_image(path)
 
