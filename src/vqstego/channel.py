@@ -214,12 +214,16 @@ def _apply_banded(ah: _Banded, aw: _Banded, x: np.ndarray) -> np.ndarray:
 
 
 def _quantize_values(x: np.ndarray, levels: int) -> np.ndarray:
+    """round((x + 1) / 2 * (L - 1)) / (L - 1) * 2 - 1 in four passes.
+
+    Halving and doubling are exact in binary floating point, so scaling by
+    h = (L - 1) / 2 rounds to the same doubles as the two-step form.
+    """
+    half = (levels - 1) / 2.0
     y = x + 1.0
-    y /= 2.0
-    y *= levels - 1
+    y *= half
     np.round(y, out=y)
-    y /= levels - 1
-    y *= 2.0
+    y /= half
     y -= 1.0
     return y
 

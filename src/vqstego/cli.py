@@ -110,8 +110,15 @@ def _read_message(path) -> BitString:
     return BitString.from_bytes(data)
 
 
+def _prepare_out(out_dir) -> None:
+    """Create the output directory before any pipeline work starts."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise MalformedInput(f"cannot use --out {out_dir!r}: {exc}") from None
+
+
 def _emit(obj, out_dir, name: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True, default=str)
@@ -123,6 +130,7 @@ def _run(args) -> int:
     if args.command == "show-config":
         print(dumps(cfg), end="")
         return 0
+    _prepare_out(args.out)
     if args.command == "embed":
         message = _read_message(args.message_file)
         manifest = run_embed(cfg, message, args.out, key)
@@ -131,14 +139,12 @@ def _run(args) -> int:
     if args.command == "extract":
         message, info = run_extract(cfg, args.image_file, args.text, key,
                                     args.truth)
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "message.txt"), "w") as f:
             f.write(message.to01() + "\n")
         _emit(info, args.out, "extract_metrics.json")
         return 0
     if args.command == "attack":
         out_path = os.path.join(args.out, "attacked.vqi")
-        os.makedirs(args.out, exist_ok=True)
         info = run_attack(cfg, args.image_file, out_path)
         info["output"] = out_path
         print(json.dumps(info, indent=2, sort_keys=True))
@@ -158,7 +164,6 @@ def _run(args) -> int:
                 f"list of integers") from None
         result = run_sweep(cfg, channels, max_tokens, n_seeds=args.seeds,
                            jobs=args.jobs, message_bits=args.message_bits)
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "sweep_rows.jsonl"), "w") as f:
             f.write(rows_to_jsonl(result["rows"]))
         with open(os.path.join(args.out, "sweep_table.txt"), "w") as f:

@@ -92,23 +92,27 @@ def _streams(key: StegoKey, domain: str) -> tuple[KeyedStream, KeyedStream]:
 
 def embed_sequence(model: ModelSpec, condition: Condition, message: BitString,
                    key: StegoKey, length: int, domain: str,
-                   ) -> tuple[np.ndarray, int]:
+                   ) -> tuple[np.ndarray, int, list[tuple[int, int]]]:
     """Embed message bits over `length` autoregressive steps.
 
-    Returns the token sequence and the count of message bits consumed.
-    Trailing steps after message exhaustion are keystream-padded, so the
-    stego statistics match plain sampling everywhere.
+    Returns the token sequence, the count of message bits consumed and the
+    per-step (capacity, copy_index) trace, which equals what
+    `copy_index_trace` recovers from the tokens. Trailing steps after
+    message exhaustion are keystream-padded, so the stego statistics match
+    plain sampling everywhere.
     """
     r_stream, pad_stream = _streams(key, domain)
     tokens: list[int] = []
+    trace: list[tuple[int, int]] = []
     consumed = 0
     for t in range(length):
         dist = next_distribution(model, condition, tokens, t)
         r = r_stream.next_uniform()
         outcome = embed_step(dist, r, message[consumed:], pad_stream)
         tokens.append(outcome.token)
+        trace.append((outcome.capacity, outcome.copy_index))
         consumed += outcome.bits_embedded
-    return np.array(tokens, dtype=np.int64), consumed
+    return np.array(tokens, dtype=np.int64), consumed, trace
 
 
 def extract_sequence(model: ModelSpec, condition: Condition,
@@ -166,8 +170,9 @@ def copy_index_trace(model: ModelSpec, condition: Condition,
                      domain: str) -> list[tuple[int, int]]:
     """(capacity, copy_index) per step of a stego sequence, given the key.
 
-    Used by the security harness to check that embedded copy indices are
-    uniform, the empirical stand-in for ciphertext uniformity.
+    The security harness re-walks the biased control's tokens with it, since
+    no embedder produced them; stego sequences carry their trace from
+    `embed_sequence`.
     """
     r_stream, _ = _streams(key, domain)
     trace = []

@@ -92,8 +92,8 @@ def embed_message(pipe: Pipeline, key: StegoKey,
     condition = pipe.condition(key)
     framed = frame_message(message,
                            KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)))
-    tokens, consumed = embed_sequence(cfg.image_model, condition, framed, key,
-                                      cfg.n_tokens, IMAGE_DOMAIN)
+    tokens, consumed, _ = embed_sequence(cfg.image_model, condition, framed,
+                                         key, cfg.n_tokens, IMAGE_DOMAIN)
     if consumed < len(framed):
         raise CapacityExceeded(
             f"framed message of {len(framed)} bits exceeds the realized "

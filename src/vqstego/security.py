@@ -11,11 +11,16 @@ sequences (random encrypted messages under fresh keys) with:
 Frequency statistics cannot see an embedder that always picks copy index 0,
 because that is exactly the cover sampling law; the keyed copy-index
 uniformity statistic (chi-square per capacity class, Fisher-combined)
-closes that gap using the keys the harness generated.
+closes that gap using the keys the harness generated. Stego copy indices
+come from the embedding walk itself; the biased control's are recovered
+from its tokens. The cover counts (class A) depend only on the model, the
+run key, the positions and n, so consecutive calls for one config build
+them once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -28,7 +33,7 @@ from .codec import copy_index_trace, embed_sequence, sample_sequence
 from .config import PipelineConfig
 from .errors import MalformedInput
 from .pipeline import IMAGE_DOMAIN, derive_key
-from .token_model import condition_from_key
+from .token_model import ModelSpec, condition_from_key
 
 _MIN_CATEGORY_COUNT = 10
 _MIN_CLASS_TOTAL = 50
@@ -65,31 +70,53 @@ class SecurityReport:
         return d
 
 
-def _sample_key(cfg: PipelineConfig, label: str, index: int) -> StegoKey:
-    base = derive_key(cfg, cfg.seed).seed
+def _sample_key(base: bytes, label: str, index: int) -> StegoKey:
     mixed = hashlib.blake2b(base + label.encode() +
                             index.to_bytes(8, "big"), digest_size=32).digest()
     return StegoKey(mixed)
 
 
-def _cover_grid(cfg: PipelineConfig, key: StegoKey) -> np.ndarray:
-    condition = condition_from_key(key, cfg.image_model)
-    return sample_sequence(cfg.image_model, condition, key,
-                           cfg.security_positions, IMAGE_DOMAIN)
+@functools.lru_cache(maxsize=1)
+def _cover_counts(model: ModelSpec, base: bytes, positions: int,
+                  n_samples: int) -> np.ndarray:
+    """Class-A token counts per position, read-only.
+
+    Class A depends only on these arguments, so the stego and biased calls
+    of one config share it; the cache holds the last config's counts.
+    """
+    counts = np.zeros((positions, model.vocab_size), dtype=np.int64)
+    rows = np.arange(positions)
+    for i in range(n_samples):
+        key = _sample_key(base, "cover", i)
+        condition = condition_from_key(key, model)
+        counts[rows, sample_sequence(model, condition, key, positions,
+                                     IMAGE_DOMAIN)] += 1
+    counts.flags.writeable = False
+    return counts
 
 
-def _stego_grid(cfg: PipelineConfig, key: StegoKey) -> np.ndarray:
-    condition = condition_from_key(key, cfg.image_model)
-    message = KeyedStream(key.with_domain("security.message")).next_bits(
-        cfg.security_positions * 8)
-    tokens, _ = embed_sequence(cfg.image_model, condition, message, key,
-                               cfg.security_positions, IMAGE_DOMAIN)
-    return tokens
+def _candidate(cfg: PipelineConfig, variant: str, key: StegoKey,
+               ) -> tuple[np.ndarray, list[tuple[int, int]] | None]:
+    """One class-B grid and its (capacity, copy_index) trace (None for cover).
 
-
-# Copy index forced to 0 selects the token at r itself for every step,
-# which coincides with plain sampling: invisible to frequency tests.
-_biased_grid = _cover_grid
+    Stego grids carry the trace of their embedding walk. The biased control
+    forces copy index 0, which selects the token at r itself at every step:
+    that is plain sampling, invisible to frequency tests. No embedder made
+    those tokens, so their trace is recovered from them by a second walk.
+    """
+    model, positions = cfg.image_model, cfg.security_positions
+    condition = condition_from_key(key, model)
+    if variant == "stego":
+        message = KeyedStream(key.with_domain("security.message")).next_bits(
+            positions * 8)
+        tokens, _, trace = embed_sequence(model, condition, message, key,
+                                          positions, IMAGE_DOMAIN)
+        return tokens, trace
+    tokens = sample_sequence(model, condition, key, positions, IMAGE_DOMAIN)
+    if variant == "cover":
+        return tokens, None
+    return tokens, copy_index_trace(model, condition, tokens, key,
+                                    IMAGE_DOMAIN)
 
 
 def _merge_rare(table: np.ndarray) -> np.ndarray:
@@ -126,15 +153,12 @@ def _plugin_kl(counts_a: np.ndarray,
     return kl, stderr
 
 
-def _copy_index_statistic(cfg: PipelineConfig, keys: list[StegoKey],
-                          grids: list[np.ndarray],
+def _copy_index_statistic(traces: list[list[tuple[int, int]]],
                           ) -> tuple[float | None, dict]:
     """Fisher-combined uniformity of copy indices over capacity classes."""
     buckets: dict[int, np.ndarray] = {}
-    for key, grid in zip(keys, grids):
-        condition = condition_from_key(key, cfg.image_model)
-        for k, index in copy_index_trace(cfg.image_model, condition, grid,
-                                         key, IMAGE_DOMAIN):
+    for trace in traces:
+        for k, index in trace:
             if k < 1:
                 continue
             if k not in buckets:
@@ -170,21 +194,16 @@ def run_security_test(cfg: PipelineConfig, n_samples: int,
     if n_samples < 1:
         raise MalformedInput(f"samples must be >= 1, got {n_samples}")
     positions = cfg.security_positions
-    vocab = cfg.image_model.vocab_size
-    counts_a = np.zeros((positions, vocab), dtype=np.int64)
-    counts_b = np.zeros((positions, vocab), dtype=np.int64)
-    make_b = {"stego": _stego_grid, "cover": _cover_grid,
-              "biased": _biased_grid}[variant]
-    b_keys: list[StegoKey] = []
-    b_grids: list[np.ndarray] = []
+    base = derive_key(cfg, cfg.seed).seed
+    counts_a = _cover_counts(cfg.image_model, base, positions, n_samples)
+    counts_b = np.zeros_like(counts_a)
+    rows = np.arange(positions)
+    traces = []
     for i in range(n_samples):
-        grid_a = _cover_grid(cfg, _sample_key(cfg, "cover", i))
-        key_b = _sample_key(cfg, "candidate", i)
-        grid_b = make_b(cfg, key_b)
-        counts_a[np.arange(positions), grid_a] += 1
-        counts_b[np.arange(positions), grid_b] += 1
-        b_keys.append(key_b)
-        b_grids.append(grid_b)
+        grid_b, trace = _candidate(cfg, variant,
+                                   _sample_key(base, "candidate", i))
+        counts_b[rows, grid_b] += 1
+        traces.append(trace)
 
     pooled_chi2, pooled_p = _two_sample_chi2(counts_a.sum(axis=0),
                                              counts_b.sum(axis=0))
@@ -195,7 +214,7 @@ def run_security_test(cfg: PipelineConfig, n_samples: int,
     if variant == "cover":
         copy_p, copy_summary = None, {}
     else:
-        copy_p, copy_summary = _copy_index_statistic(cfg, b_keys, b_grids)
+        copy_p, copy_summary = _copy_index_statistic(traces)
     return SecurityReport(variant=variant, n_samples=n_samples,
                           positions=positions, pooled_chi2=pooled_chi2,
                           pooled_p=pooled_p, position_p_values=position_p,

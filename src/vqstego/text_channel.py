@@ -33,8 +33,8 @@ class StegoText:
 def embed_ecc(ecc_bits: BitString, received_image: np.ndarray, key: StegoKey,
               text_model: ModelSpec, max_tokens: int = 200) -> StegoText:
     condition = text_condition_from_image(received_image, text_model)
-    tokens, consumed = embed_sequence(text_model, condition, ecc_bits, key,
-                                      max_tokens, TEXT_DOMAIN)
+    tokens, consumed, _ = embed_sequence(text_model, condition, ecc_bits,
+                                         key, max_tokens, TEXT_DOMAIN)
     if consumed < len(ecc_bits):
         raise BudgetExceeded(
             f"{len(ecc_bits)} payload bits exceed the realized text capacity "

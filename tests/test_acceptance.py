@@ -63,9 +63,9 @@ def test_criterion_1_lossless_round_trip(capfd, cfg, tokenizer):
         condition = condition_from_key(key, cfg.image_model)
         framed = frame_message(
             message, KeyedStream(key.with_domain(FRAME_IMAGE_DOMAIN)))
-        tokens, consumed = embed_sequence(cfg.image_model, condition,
-                                          framed, key, cfg.n_tokens,
-                                          IMAGE_DOMAIN)
+        tokens, consumed, _ = embed_sequence(cfg.image_model, condition,
+                                             framed, key, cfg.n_tokens,
+                                             IMAGE_DOMAIN)
         assert consumed >= len(framed)
         grid = tokens.reshape(cfg.grid_h, cfg.grid_w)
         image = tokenizer.decode(grid)

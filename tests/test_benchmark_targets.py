@@ -116,8 +116,8 @@ def test_every_codec_step_calls_step_capacity_once(monkeypatch):
         return result
 
     message = KeyedStream(key.with_domain("m")).next_bits(60)
-    tokens, _ = run_walk(codec.embed_sequence, message, key, steps,
-                               "image")
+    tokens, _, _ = run_walk(codec.embed_sequence, message, key, steps,
+                            "image")
     run_walk(codec.sequence_capacity, key, steps, "image")
     run_walk(codec.extract_sequence, tokens, key, "image")
     run_walk(codec.copy_index_trace, tokens, key, "image")

@@ -57,6 +57,32 @@ class TestApply:
         out = chan.apply(spec, np.array([[[-0.9, -0.1, 0.6]]]))
         assert out.tolist() == [[[-1.0, 0.0, 1.0]]]
 
+    @pytest.mark.parametrize("levels", [2, 3, 16, 32, 64, 255, 256])
+    def test_quantize_bitwise_equals_seven_pass_form(self, levels):
+        def reference(x):
+            y = x + 1.0
+            y /= 2.0
+            y *= levels - 1
+            np.round(y, out=y)
+            y /= levels - 1
+            y *= 2.0
+            y -= 1.0
+            return y
+
+        j = np.arange(levels)
+        edges = np.concatenate([2.0 * (j[:-1] + 0.5) / (levels - 1) - 1.0,
+                                2.0 * j / (levels - 1) - 1.0,
+                                [-1.0, 1.0, 0.0, -0.0]])
+        x = np.concatenate([
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324,
+             np.inf, -np.inf, np.nan],
+            rand_image(levels, scale=1.5).ravel()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = chan._quantize_values(x, levels)
+            want = reference(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_gaussian_sample_std(self):
         # [DERIVED] sample std over ~10^5 pixels within 5% of sigma.
         spec = ChannelSpec((GaussianStage(0.01),), noise_seed=3)

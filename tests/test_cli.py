@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vqstego import cli
 from vqstego.cli import main
 from vqstego.config import default_config, dumps, loads
 from vqstego.vq import write_image
@@ -273,6 +274,38 @@ class TestExitCodes:
         msg.write_text("01" * 30_000)
         assert main(["embed", str(msg), "--config", fast_ini,
                      "--out", str(tmp_path)]) == 1
+
+
+class TestUnusableOut:
+    """An --out that cannot be a directory exits 2 before any work."""
+
+    @pytest.mark.parametrize("command", ["embed", "extract", "attack",
+                                         "security-test", "sweep"])
+    @pytest.mark.parametrize("where", ["existing-file", "under-a-file",
+                                       "empty"])
+    def test_exits_2_before_the_pipeline(self, tmp_path, capsys, monkeypatch,
+                                         command, where):
+        called = []
+        for name in ("run_embed", "run_extract", "run_attack",
+                     "run_security_test", "run_sweep"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: called.append(a))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        out = {"existing-file": blocker, "under-a-file": blocker / "sub",
+               "empty": ""}[where]
+        msg = tmp_path / "m.txt"
+        msg.write_text("0101")
+        image = tmp_path / "zeros.vqi"
+        write_image(image, np.zeros((96, 96, 3)))
+        args = {"embed": [str(msg)], "extract": [str(image)],
+                "attack": [str(image)],
+                "security-test": ["--samples", "2"],
+                "sweep": ["--seeds", "1", "--channels", "lossless"]}[command]
+        assert main([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert called == []
+        assert blocker.read_text() == "a file, not a directory"
 
 
 class TestSweep:

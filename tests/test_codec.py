@@ -203,7 +203,8 @@ class TestSequences:
     def test_round_trip(self):
         key = self.make_key()
         msg = KeyedStream(key.with_domain("m")).next_bits(300)
-        tokens, consumed = embed_sequence(MODEL, COND, msg, key, 576, "image")
+        tokens, consumed, _ = embed_sequence(MODEL, COND, msg, key, 576,
+                                             "image")
         assert consumed == 300
         out = extract_sequence(MODEL, COND, tokens, key, "image")
         assert out[:300] == msg
@@ -215,8 +216,8 @@ class TestSequences:
             key = StegoKey(bytes(rng.integers(0, 256, 32).tolist()))
             cond = Condition(int(rng.integers(0, 1024)))
             msg = BitString(int(b) for b in rng.integers(0, 2, 120))
-            tokens, consumed = embed_sequence(MODEL, cond, msg, key, 128,
-                                              "image")
+            tokens, consumed, _ = embed_sequence(MODEL, cond, msg, key, 128,
+                                                 "image")
             assert consumed == 120
             out = extract_sequence(MODEL, cond, tokens, key, "image")
             assert out[:120] == msg
@@ -225,7 +226,8 @@ class TestSequences:
         # [DERIVED] recompute per-step capacities on the emitted prefix.
         key = self.make_key(2)
         msg = KeyedStream(key.with_domain("m")).next_bits(10_000)  # never ends
-        tokens, consumed = embed_sequence(MODEL, COND, msg, key, 100, "image")
+        tokens, consumed, _ = embed_sequence(MODEL, COND, msg, key, 100,
+                                             "image")
         r_stream = KeyedStream(key.with_domain("image"))
         total = 0
         for t in range(100):
@@ -235,33 +237,33 @@ class TestSequences:
 
     def test_zero_length_message_pads(self):
         key = self.make_key(3)
-        tokens, consumed = embed_sequence(MODEL, COND, BitString(), key, 50,
-                                          "image")
+        tokens, consumed, _ = embed_sequence(MODEL, COND, BitString(), key,
+                                             50, "image")
         assert consumed == 0 and len(tokens) == 50
         # padded embedding stays extractable (garbage bits, valid walk)
         extract_sequence(MODEL, COND, tokens, key, "image")
 
     def test_different_keys_different_grids(self):
         msg = BitString([1, 0] * 30)
-        t1, _ = embed_sequence(MODEL, COND, msg, self.make_key(1), 64,
-                               "image")
-        t2, _ = embed_sequence(MODEL, COND, msg, self.make_key(2), 64,
-                               "image")
+        t1, _, _ = embed_sequence(MODEL, COND, msg, self.make_key(1), 64,
+                                  "image")
+        t2, _, _ = embed_sequence(MODEL, COND, msg, self.make_key(2), 64,
+                                  "image")
         assert not np.array_equal(t1, t2)
 
     def test_message_reusable(self):
         # embedding reads the message without using it up
         key = self.make_key(8)
         msg = KeyedStream(key.with_domain("m")).next_bits(200)
-        t1, c1 = embed_sequence(MODEL, COND, msg, key, 64, "image")
-        t2, c2 = embed_sequence(MODEL, COND, msg, key, 64, "image")
+        t1, c1, _ = embed_sequence(MODEL, COND, msg, key, 64, "image")
+        t2, c2, _ = embed_sequence(MODEL, COND, msg, key, 64, "image")
         assert np.array_equal(t1, t2) and c1 == c2 > 0
         assert msg == KeyedStream(key.with_domain("m")).next_bits(200)
 
     def test_corruption_prefix_semantics(self):
         key = self.make_key(4)
         msg = KeyedStream(key.with_domain("m")).next_bits(200)
-        tokens, _ = embed_sequence(MODEL, COND, msg, key, 64, "image")
+        tokens, _, _ = embed_sequence(MODEL, COND, msg, key, 64, "image")
         clean = extract_sequence(MODEL, COND, tokens, key, "image")
         corrupted = tokens.copy()
         corrupted[5] = (corrupted[5] + 1) % 256
@@ -292,10 +294,24 @@ class TestSequences:
     def test_copy_index_trace_matches_embedding(self):
         key = self.make_key(7)
         msg = KeyedStream(key.with_domain("m")).next_bits(500)
-        tokens, consumed = embed_sequence(MODEL, COND, msg, key, 64, "image")
+        tokens, consumed, _ = embed_sequence(MODEL, COND, msg, key, 64,
+                                             "image")
         trace = copy_index_trace(MODEL, COND, tokens, key, "image")
         assert consumed == sum(k for k, _ in trace) <= len(msg)
         at = 0
         for k, index in trace:
             assert index == msg[at:at + k].to_int()
             at += k
+
+    @pytest.mark.parametrize("n_bits", [0, 40, 10_000])
+    def test_embedding_trace_equals_auditor_trace(self, n_bits):
+        # the security battery uses the embedding walk's trace in place of
+        # re-walking the tokens; 10_000 bits exceed any 64-step capacity
+        for b, cond in ((1, COND), (11, Condition(3)), (12, Condition(900))):
+            key = self.make_key(b)
+            msg = KeyedStream(key.with_domain("m")).next_bits(n_bits)
+            tokens, consumed, trace = embed_sequence(MODEL, cond, msg, key,
+                                                     64, "image")
+            assert trace == copy_index_trace(MODEL, cond, tokens, key,
+                                             "image")
+            assert consumed == min(n_bits, sum(k for k, _ in trace))

@@ -42,10 +42,11 @@ def message():
 
 
 def test_embed_pads_past_the_message():
-    tokens, consumed = embed_sequence(MODEL, COND, message(), KEY, STEPS,
-                                      "pinned")
+    tokens, consumed, trace = embed_sequence(MODEL, COND, message(), KEY,
+                                             STEPS, "pinned")
     assert tokens.tolist() == TOKENS
     assert consumed == 40 < len(EXTRACTED)
+    assert trace == TRACE
 
 
 def test_extract_and_copy_indices():
