@@ -294,6 +294,13 @@ class ChannelPlan:
     ops: tuple[_AddNoise | _Quantize | _Rescale, ...]
     pullbacks: tuple[_Rescale, ...]
 
+    @property
+    def reach(self) -> int:
+        """How many pixels away, along either axis, an input pixel can move
+        the output: the summed half-bandwidths of the rescale stages, since
+        every other stage is elementwise."""
+        return sum(max(op.ah.band, op.aw.band) for op in self.pullbacks)
+
     def run(self, image: np.ndarray) -> np.ndarray:
         x = np.asarray(image, dtype=np.float64)
         for op in self.ops:

@@ -1,18 +1,19 @@
-"""Gradient-descent token recovery.
+"""Stage-2 token recovery: a continuous solve, then an exact discrete search.
 
-Starting from the encoder's continuous latents for the received lossy image,
-the solver minimizes the L2 discrepancy between that image and the
-re-decoded image pushed through the smooth channel surrogate: L-BFGS on the
-squared loss first, then Adam from the best point L-BFGS evaluated, until
-Adam's plateau rule or the shared evaluation cap stops it. Quantization back
-to tokens happens once, after both phases. The channel's stochastic stage is
-a frozen seeded field, so the objective is deterministic and the loss of the
-true token grid under a shared noise seed is (numerically) zero.
+`optimize_tokens` starts from the encoder's continuous latents for the
+received lossy image and runs L-BFGS on the squared L2 discrepancy between
+that image and the re-decoded image pushed through the smooth channel
+surrogate, then quantizes its best point to tokens. `search_tokens` takes
+that grid and runs iterated conditional modes on the hard channel loss: each
+cell tries the image model's top-k support in its place, and keeps the one
+that lowers the loss most. The channel's stochastic stage is a frozen seeded
+field, so both objectives are deterministic, and under a shared noise seed
+the true token grid has a hard loss of exactly zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -20,25 +21,16 @@ from scipy.optimize import minimize
 from . import channel as chan
 from .channel import ChannelSpec
 from .errors import NonFiniteLoss, ShapeMismatch
+from .token_model import Condition, ModelSpec, next_distribution
 from .vq import Tokenizer
 
 
 # L-BFGS-B (Liu & Nocedal 1989) history size and stopping tolerances. The
 # tolerances are tight on purpose: L-BFGS runs until its line search makes
-# no more progress, and Adam polishes from there.
+# no more progress, and the discrete search finishes from there.
 LBFGS_MAXCOR = 10
 LBFGS_FTOL = 1e-15
 LBFGS_GTOL = 1e-12
-
-# Adam's published defaults (Kingma & Ba 2015) with a fixed step size; the
-# loop stops early once the loss has not improved by PLATEAU_TOL for
-# PLATEAU_WINDOW steps.
-LEARNING_RATE = 0.002
-BETA1 = 0.9
-BETA2 = 0.999
-EPS = 1e-8
-PLATEAU_TOL = 1e-10
-PLATEAU_WINDOW = 100
 
 
 @dataclass(frozen=True)
@@ -52,9 +44,8 @@ class OptimConfig:
 
 @dataclass
 class OptimReport:
-    final_loss: float
-    steps_run: int
-    loss_trace: list[float] = field(default_factory=list)
+    final_loss: float   # smooth loss at the latents that were quantized
+    steps_run: int      # evaluations of `loss_and_gradient`
 
 
 def loss(latents: np.ndarray, received: np.ndarray, spec: ChannelSpec,
@@ -86,73 +77,38 @@ class _BudgetSpent(Exception):
     """Raised inside the L-BFGS objective once the evaluation cap is used."""
 
 
-def _adam(z: np.ndarray, evaluate, steps: int) -> np.ndarray:
-    """Adam with fresh moments from `z`, for at most `steps` evaluations.
-
-    `evaluate(z)` returns (loss, gradient).
-    """
-    m = np.zeros_like(z)
-    v = np.zeros_like(z)
-    best_recent = np.inf
-    since_improvement = 0
-    for t in range(1, steps + 1):
-        value, g = evaluate(z)
-        if value < best_recent - PLATEAU_TOL:
-            best_recent = value
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= PLATEAU_WINDOW:
-                return z
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        z = z - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + EPS)
-    return z
-
-
 def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
                     tokenizer: Tokenizer, config: OptimConfig,
                     ) -> tuple[np.ndarray, OptimReport]:
-    """L-BFGS then Adam over continuous latents, then one quantization.
+    """L-BFGS over continuous latents, then one quantization.
 
-    `config.steps` caps the evaluations of `loss_and_gradient` summed over
-    both phases. Between the initial re-encoded grid and the optimized grid,
-    the one that re-simulates closer to the received image (a receiver-side
-    quantity) is returned, so the result never loses to plain re-encoding on
-    a deterministic channel.
+    `config.steps` caps the evaluations of `loss_and_gradient`. Between the
+    initial re-encoded grid and the optimized grid, the one that
+    re-simulates closer to the received image (a receiver-side quantity) is
+    returned, so the result never loses to plain re-encoding on a
+    deterministic channel.
     """
     z = tokenizer.encode(received)
     init_grid = tokenizer.quantize(z)
 
-    trace: list[float] = []
-    stride = max(1, config.steps // 100)
     evals = 0
-    value = loss(z, received, spec, tokenizer)
-    best_value, best_z = np.inf, z
-
-    def evaluate(latents: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal evals, value
-        value, g = loss_and_gradient(latents, received, spec, tokenizer)
-        evals += 1
-        if not np.isfinite(value):
-            raise NonFiniteLoss(f"loss diverged at evaluation {evals}")
-        if evals % stride == 1 or stride == 1:
-            trace.append(value)
-        return value, g
+    # equals the first evaluation, which is at z itself
+    best_value, best_z = loss(z, received, spec, tokenizer), z
 
     def squared(x: np.ndarray) -> tuple[float, np.ndarray]:
         # scipy checks its own maxfun only between iterations, so a line
         # search could overrun the cap; stop it here instead
-        nonlocal best_value, best_z
+        nonlocal evals, best_value, best_z
         if evals == config.steps:
             raise _BudgetSpent
         latents = x.reshape(z.shape)
-        val, g = evaluate(latents)
-        if val < best_value:
-            best_value, best_z = val, latents.copy()
-        return val * val, (2.0 * val * g).ravel()
+        value, g = loss_and_gradient(latents, received, spec, tokenizer)
+        evals += 1
+        if not np.isfinite(value):
+            raise NonFiniteLoss(f"loss diverged at evaluation {evals}")
+        if value < best_value:
+            best_value, best_z = value, latents.copy()
+        return value * value, (2.0 * value * g).ravel()
 
     try:
         minimize(squared, z.ravel(), method="L-BFGS-B", jac=True,
@@ -160,9 +116,8 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
                           "gtol": LBFGS_GTOL})
     except _BudgetSpent:
         pass
-    z = _adam(best_z, evaluate, config.steps - evals)
 
-    opt_grid = tokenizer.quantize(z)
+    opt_grid = tokenizer.quantize(best_z)
 
     def resim_loss(grid: np.ndarray) -> float:
         sim = chan.apply(spec, tokenizer.decode(grid))
@@ -173,5 +128,106 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
         if resim_loss(opt_grid) < resim_loss(init_grid):
             final_grid = opt_grid
 
-    return final_grid, OptimReport(final_loss=value, steps_run=evals,
-                                   loss_trace=trace)
+    return final_grid, OptimReport(final_loss=best_value, steps_run=evals)
+
+
+# -- discrete search ---------------------------------------------------------
+#
+# A cell's patch reaches the output pixels up to `reach` away from it, so
+# cells (i, j) with i = a and j = b (mod period), period = 1 + ceil(2 *
+# reach / patch), form a colour class whose output windows are disjoint.
+# Cell (i, j)'s tile is the (period * patch)-pixel square whose corner is
+# (i * patch - reach, j * patch - reach): it holds the cell's whole window,
+# and the tiles of one class do not overlap. Changing every cell of a class
+# at once therefore changes each tile's residual only through its own cell.
+
+def _period(patch: int, reach: int) -> int:
+    return 1 + -(-2 * reach // patch)
+
+
+def _squared_residual(grid: np.ndarray, received: np.ndarray,
+                      spec: ChannelSpec, tokenizer: Tokenizer) -> np.ndarray:
+    """Hard-channel residual squared per pixel, summed over colour."""
+    out = chan.apply(spec, tokenizer.decode(grid))
+    return ((received - out) ** 2).sum(axis=2)
+
+
+def _tile_losses(sq: np.ndarray, patch: int, reach: int, a: int,
+                 b: int) -> np.ndarray:
+    """`sq` summed over the tile of every cell of class (a, b), as a
+    (rows, cols) array for the cells (a + period*m, b + period*n)."""
+    period = _period(patch, reach)
+    t = period * patch
+    h, w = sq.shape
+    rows = len(range(a, h // patch, period))
+    cols = len(range(b, w // patch, period))
+    pad = np.zeros((h + reach + t, w + reach + t))
+    pad[reach:reach + h, reach:reach + w] = sq
+    block = pad[a * patch:a * patch + rows * t, b * patch:b * patch + cols * t]
+    return block.reshape(rows, t, cols, t).sum(axis=(1, 3))
+
+
+def _score_class(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 candidates: np.ndarray, received: np.ndarray,
+                 spec: ChannelSpec, tokenizer: Tokenizer,
+                 reach: int) -> np.ndarray:
+    """Tile loss of cell (rows[c], cols[c]) holding candidates[c, s].
+
+    The cells must share one colour class. Column s of the result costs one
+    hard channel pass, which puts candidate s in every listed cell at once.
+    """
+    period = _period(tokenizer.patch, reach)
+    a, b = int(rows[0]) % period, int(cols[0]) % period
+    losses = np.empty(candidates.shape)
+    trial = np.array(grid)
+    for s in range(candidates.shape[1]):
+        trial[rows, cols] = candidates[:, s]
+        sq = _squared_residual(trial, received, spec, tokenizer)
+        tiles = _tile_losses(sq, tokenizer.patch, reach, a, b)
+        losses[:, s] = tiles[rows // period, cols // period]
+    return losses
+
+
+def search_tokens(grid: np.ndarray, received: np.ndarray, spec: ChannelSpec,
+                  tokenizer: Tokenizer, model: ModelSpec,
+                  condition: Condition) -> np.ndarray:
+    """Iterated conditional modes (Besag 1986) on the hard channel loss
+    ||received - chan.apply(spec, tokenizer.decode(grid))||.
+
+    Sweeps the colour classes in turn. A cell whose tile residual is zero
+    cannot improve and is skipped; every other cell of the class scores its
+    top-k support under the current prefix and takes the candidate with the
+    lowest tile loss, if that is strictly below the current one. Each change
+    strictly lowers the hard loss, so the search ends: it stops after a
+    sweep that changes nothing.
+    """
+    grid = np.array(grid)
+    patch = tokenizer.patch
+    reach = chan.compile_channel(spec, received.shape).reach
+    period = _period(patch, reach)
+    flat = grid.ravel()
+    sq = _squared_residual(grid, received, spec, tokenizer)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(period):
+            for b in range(period):
+                tiles = _tile_losses(sq, patch, reach, a, b)
+                m, n = np.nonzero(tiles)
+                if len(m) == 0:
+                    continue
+                rows, cols = a + period * m, b + period * n
+                supports = np.array([
+                    next_distribution(model, condition, flat[:pos].tolist(),
+                                      pos).token_ids
+                    for pos in (rows * grid.shape[1] + cols).tolist()])
+                losses = _score_class(grid, rows, cols, supports, received,
+                                      spec, tokenizer, reach)
+                best = losses.argmin(axis=1)
+                better = losses[np.arange(len(best)), best] < tiles[m, n]
+                if better.any():
+                    grid[rows[better], cols[better]] = \
+                        supports[better, best[better]]
+                    sq = _squared_residual(grid, received, spec, tokenizer)
+                    changed = True
+    return grid

@@ -2,10 +2,11 @@
 
 A run embeds a framed message into an image-token stream, synthesizes the
 image, pushes it through the channel, recovers tokens in three stages
-(re-encode, optimize, error-correct from the companion text stream) and
-extracts the message. Sender-side channel simulation shares the receiver's
-noise seed, so the sender's recovered grid — and therefore the correction
-stream it writes — matches what the receiver will compute.
+(re-encode; optimize and search; error-correct from the companion text
+stream) and extracts the message. Stage 2 is one helper, `_stage2`, which
+the sender's simulation and the receiver both call. The simulation shares
+the receiver's noise seed, so the sender's recovered grid — and therefore
+the correction stream it writes — matches what the receiver will compute.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .config import PipelineConfig
 from .ecc import EccEncodeResult, EccParams, ecc_decode, ecc_encode, position_cost_stats
 from .errors import (BudgetExceeded, CapacityExceeded, MalformedEcc,
                      MalformedInput, TruncatedFrame)
-from .optimizer import OptimReport, optimize_tokens
+from .optimizer import OptimReport, optimize_tokens, search_tokens
 from .text_channel import StegoText, embed_ecc, extract_ecc, render_words
 from .token_model import Condition, condition_from_key
 from .vq import (Tokenizer, build_codebook, build_tokenizer, export_ppm,
@@ -119,8 +120,7 @@ def _attach_correction_text(pipe: Pipeline, key: StegoKey,
     """
     cfg = pipe.cfg
     received_sim = chan.apply(cfg.channel, result.image)
-    sim_grid, _ = optimize_tokens(received_sim, cfg.channel, pipe.tokenizer,
-                                  cfg.optim)
+    sim_grid, _ = _stage2(pipe, condition, received_sim)
     pair = cfg.lambda1 + cfg.lambda2
     budget = cfg.max_tokens * 8
     while True:
@@ -142,6 +142,16 @@ def _attach_correction_text(pipe: Pipeline, key: StegoKey,
         return
 
 
+def _stage2(pipe: Pipeline, condition: Condition,
+            received: np.ndarray) -> tuple[np.ndarray, OptimReport]:
+    """Stage-2 recovery: the L-BFGS solve, then the discrete search."""
+    cfg = pipe.cfg
+    grid, report = optimize_tokens(received, cfg.channel, pipe.tokenizer,
+                                   cfg.optim)
+    return search_tokens(grid, received, cfg.channel, pipe.tokenizer,
+                         cfg.image_model, condition), report
+
+
 @dataclass
 class ExtractResult:
     grid_stage1: np.ndarray
@@ -156,12 +166,13 @@ class ExtractResult:
 
 def extract_message(pipe: Pipeline, key: StegoKey, received: np.ndarray,
                     text_tokens=None) -> ExtractResult:
-    """Three-stage receiver: re-encode, optimize, apply text corrections."""
+    """Three-stage receiver: re-encode, optimize and search, apply text
+    corrections."""
     cfg = pipe.cfg
     condition = pipe.condition(key)
     tok = pipe.tokenizer
     grid1 = tok.quantize(tok.encode(received))
-    grid2, report = optimize_tokens(received, cfg.channel, tok, cfg.optim)
+    grid2, report = _stage2(pipe, condition, received)
     grid3 = grid2
     ecc_applied = False
     ecc_error = None

@@ -153,17 +153,20 @@ def _plugin_kl(counts_a: np.ndarray,
     return kl, stderr
 
 
-def _copy_index_statistic(traces: list[list[tuple[int, int]]],
+def _count_copy_indices(buckets: dict[int, np.ndarray],
+                        trace: list[tuple[int, int]]) -> None:
+    """Add a (capacity, copy_index) trace to the per-capacity counts."""
+    for k, index in trace:
+        if k < 1:
+            continue
+        if k not in buckets:
+            buckets[k] = np.zeros(1 << k, dtype=np.int64)
+        buckets[k][index] += 1
+
+
+def _copy_index_statistic(buckets: dict[int, np.ndarray],
                           ) -> tuple[float | None, dict]:
     """Fisher-combined uniformity of copy indices over capacity classes."""
-    buckets: dict[int, np.ndarray] = {}
-    for trace in traces:
-        for k, index in trace:
-            if k < 1:
-                continue
-            if k not in buckets:
-                buckets[k] = np.zeros(1 << k, dtype=np.int64)
-            buckets[k][index] += 1
     p_values = []
     summary = {}
     for k in sorted(buckets):
@@ -198,12 +201,13 @@ def run_security_test(cfg: PipelineConfig, n_samples: int,
     counts_a = _cover_counts(cfg.image_model, base, positions, n_samples)
     counts_b = np.zeros_like(counts_a)
     rows = np.arange(positions)
-    traces = []
+    buckets: dict[int, np.ndarray] = {}
     for i in range(n_samples):
         grid_b, trace = _candidate(cfg, variant,
                                    _sample_key(base, "candidate", i))
         counts_b[rows, grid_b] += 1
-        traces.append(trace)
+        if trace is not None:
+            _count_copy_indices(buckets, trace)
 
     pooled_chi2, pooled_p = _two_sample_chi2(counts_a.sum(axis=0),
                                              counts_b.sum(axis=0))
@@ -214,7 +218,7 @@ def run_security_test(cfg: PipelineConfig, n_samples: int,
     if variant == "cover":
         copy_p, copy_summary = None, {}
     else:
-        copy_p, copy_summary = _copy_index_statistic(traces)
+        copy_p, copy_summary = _copy_index_statistic(buckets)
     return SecurityReport(variant=variant, n_samples=n_samples,
                           positions=positions, pooled_chi2=pooled_chi2,
                           pooled_p=pooled_p, position_p_values=position_p,

@@ -194,7 +194,7 @@ class TestExitCodes:
     ])
     def test_fixed_optimizer_setting_is_unknown(self, tmp_path, capsys, key,
                                                 value):
-        # only the step cap of the Adam recovery is a setting
+        # only the step cap of the L-BFGS solve is a setting
         ini = tmp_path / "optim.ini"
         ini.write_text(f"[optimizer]\nsteps = 30\n{key} = {value}\n")
         msg = tmp_path / "m.txt"

@@ -10,8 +10,8 @@ from vqstego.bits import KeyedStream, StegoKey
 from vqstego.codec import copy_index_trace, embed_sequence, sample_sequence
 from vqstego.pipeline import IMAGE_DOMAIN, derive_key
 from vqstego.security import (SecurityReport, _copy_index_statistic,
-                              _merge_rare, _plugin_kl, _two_sample_chi2,
-                              run_security_test)
+                              _count_copy_indices, _merge_rare, _plugin_kl,
+                              _two_sample_chi2, run_security_test)
 from vqstego.token_model import condition_from_key
 
 # The full-strength battery (n = 5000, pooled/KS/copy-index thresholds) runs
@@ -106,7 +106,7 @@ def reference_report(cfg, n_samples, variant):
 
     counts_a = np.zeros((positions, model.vocab_size), dtype=np.int64)
     counts_b = np.zeros_like(counts_a)
-    traces = []
+    buckets = {}
     for i in range(n_samples):
         grid_a = cover_grid(sample_key("cover", i))
         key_b = sample_key("candidate", i)
@@ -114,7 +114,7 @@ def reference_report(cfg, n_samples, variant):
         counts_a[np.arange(positions), grid_a] += 1
         counts_b[np.arange(positions), grid_b] += 1
         if variant != "cover":
-            traces.append(copy_index_trace(
+            _count_copy_indices(buckets, copy_index_trace(
                 model, condition_from_key(key_b, model), grid_b, key_b,
                 IMAGE_DOMAIN))
     pooled_chi2, pooled_p = _two_sample_chi2(counts_a.sum(axis=0),
@@ -124,7 +124,7 @@ def reference_report(cfg, n_samples, variant):
     ks_stat, ks_p = stats.kstest(position_p, "uniform")
     kl, kl_se = _plugin_kl(counts_a.sum(axis=0), counts_b.sum(axis=0))
     copy_p, copy_summary = ((None, {}) if variant == "cover"
-                            else _copy_index_statistic(traces))
+                            else _copy_index_statistic(buckets))
     return SecurityReport(variant=variant, n_samples=n_samples,
                           positions=positions, pooled_chi2=pooled_chi2,
                           pooled_p=pooled_p, position_p_values=position_p,
