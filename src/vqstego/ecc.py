@@ -34,18 +34,16 @@ class EccParams:
     lambda1: int = 8
     lambda2: int = 8
     position_bits: int = 9
-    top_k: int = 32
 
     def __post_init__(self):
         if self.lambda1 < 1 or self.lambda2 < 1 or self.position_bits < 1:
             raise ValueError("lambda1, lambda2 and position_bits must be >= 1")
 
     @classmethod
-    def for_grid(cls, n_positions: int, top_k: int,
-                 lambda1: int = 8, lambda2: int = 8) -> "EccParams":
+    def for_grid(cls, n_positions: int, lambda1: int = 8,
+                 lambda2: int = 8) -> "EccParams":
         return cls(lambda1=lambda1, lambda2=lambda2,
-                   position_bits=int(math.floor(math.log2(n_positions))),
-                   top_k=top_k)
+                   position_bits=int(math.floor(math.log2(n_positions))))
 
     def record_bits(self, first: bool) -> int:
         head = self.position_bits if first else self.lambda1

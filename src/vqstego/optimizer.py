@@ -4,11 +4,12 @@
 received lossy image and runs L-BFGS on the squared L2 discrepancy between
 that image and the re-decoded image pushed through the smooth channel
 surrogate, then quantizes its best point to tokens. `search_tokens` takes
-that grid and runs iterated conditional modes on the hard channel loss: each
-cell tries the image model's top-k support in its place, and keeps the one
-that lowers the loss most. The channel's stochastic stage is a frozen seeded
-field, so both objectives are deterministic, and under a shared noise seed
-the true token grid has a hard loss of exactly zero.
+that grid and the re-encoded (stage-1) grid, starts from the one with the
+lower hard channel loss, and runs iterated conditional modes on that loss:
+each cell tries the image model's top-k support in its place, and keeps the
+one that lowers the loss most. The channel's stochastic stage is a frozen
+seeded field, so both objectives are deterministic, and under a shared
+noise seed the true token grid has a hard loss of exactly zero.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class OptimConfig:
 
 @dataclass
 class OptimReport:
-    final_loss: float   # smooth loss at the latents that were quantized
     steps_run: int      # evaluations of `loss_and_gradient`
 
 
@@ -80,17 +80,12 @@ class _BudgetSpent(Exception):
 def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
                     tokenizer: Tokenizer, config: OptimConfig,
                     ) -> tuple[np.ndarray, OptimReport]:
-    """L-BFGS over continuous latents, then one quantization.
+    """L-BFGS over continuous latents from the re-encoded ones, then a
+    quantization of the best point it evaluated.
 
-    `config.steps` caps the evaluations of `loss_and_gradient`. Between the
-    initial re-encoded grid and the optimized grid, the one that
-    re-simulates closer to the received image (a receiver-side quantity) is
-    returned, so the result never loses to plain re-encoding on a
-    deterministic channel.
+    `config.steps` caps the evaluations of `loss_and_gradient`.
     """
     z = tokenizer.encode(received)
-    init_grid = tokenizer.quantize(z)
-
     evals = 0
     # equals the first evaluation, which is at z itself
     best_value, best_z = loss(z, received, spec, tokenizer), z
@@ -116,19 +111,7 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
                           "gtol": LBFGS_GTOL})
     except _BudgetSpent:
         pass
-
-    opt_grid = tokenizer.quantize(best_z)
-
-    def resim_loss(grid: np.ndarray) -> float:
-        sim = chan.apply(spec, tokenizer.decode(grid))
-        return float(np.linalg.norm(received - sim))
-
-    final_grid = init_grid
-    if not np.array_equal(opt_grid, init_grid):
-        if resim_loss(opt_grid) < resim_loss(init_grid):
-            final_grid = opt_grid
-
-    return final_grid, OptimReport(final_loss=best_value, steps_run=evals)
+    return tokenizer.quantize(best_z), OptimReport(steps_run=evals)
 
 
 # -- discrete search ---------------------------------------------------------
@@ -152,11 +135,10 @@ def _squared_residual(grid: np.ndarray, received: np.ndarray,
     return ((received - out) ** 2).sum(axis=2)
 
 
-def _tile_losses(sq: np.ndarray, patch: int, reach: int, a: int,
-                 b: int) -> np.ndarray:
+def _tile_losses(sq: np.ndarray, patch: int, reach: int, period: int,
+                 a: int, b: int) -> np.ndarray:
     """`sq` summed over the tile of every cell of class (a, b), as a
     (rows, cols) array for the cells (a + period*m, b + period*n)."""
-    period = _period(patch, reach)
     t = period * patch
     h, w = sq.shape
     rows = len(range(a, h // patch, period))
@@ -169,50 +151,56 @@ def _tile_losses(sq: np.ndarray, patch: int, reach: int, a: int,
 
 def _score_class(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  candidates: np.ndarray, received: np.ndarray,
-                 spec: ChannelSpec, tokenizer: Tokenizer,
-                 reach: int) -> np.ndarray:
+                 spec: ChannelSpec, tokenizer: Tokenizer, reach: int,
+                 period: int, a: int, b: int) -> np.ndarray:
     """Tile loss of cell (rows[c], cols[c]) holding candidates[c, s].
 
-    The cells must share one colour class. Column s of the result costs one
-    hard channel pass, which puts candidate s in every listed cell at once.
+    The cells must all lie in colour class (a, b). Column s of the result
+    costs one hard channel pass, which puts candidate s in every listed
+    cell at once.
     """
-    period = _period(tokenizer.patch, reach)
-    a, b = int(rows[0]) % period, int(cols[0]) % period
     losses = np.empty(candidates.shape)
     trial = np.array(grid)
     for s in range(candidates.shape[1]):
         trial[rows, cols] = candidates[:, s]
         sq = _squared_residual(trial, received, spec, tokenizer)
-        tiles = _tile_losses(sq, tokenizer.patch, reach, a, b)
+        tiles = _tile_losses(sq, tokenizer.patch, reach, period, a, b)
         losses[:, s] = tiles[rows // period, cols // period]
     return losses
 
 
-def search_tokens(grid: np.ndarray, received: np.ndarray, spec: ChannelSpec,
+def search_tokens(reencoded: np.ndarray, optimized: np.ndarray,
+                  received: np.ndarray, spec: ChannelSpec,
                   tokenizer: Tokenizer, model: ModelSpec,
-                  condition: Condition) -> np.ndarray:
+                  condition: Condition) -> tuple[np.ndarray, float]:
     """Iterated conditional modes (Besag 1986) on the hard channel loss
     ||received - chan.apply(spec, tokenizer.decode(grid))||.
 
-    Sweeps the colour classes in turn. A cell whose tile residual is zero
-    cannot improve and is skipped; every other cell of the class scores its
-    top-k support under the current prefix and takes the candidate with the
+    Starts from `optimized` only if its hard loss is strictly below that of
+    `reencoded`, so the result never loses to plain re-encoding. Sweeps the
+    colour classes in turn. A cell whose tile residual is zero cannot
+    improve and is skipped; every other cell of the class scores its top-k
+    support under the current prefix and takes the candidate with the
     lowest tile loss, if that is strictly below the current one. Each change
     strictly lowers the hard loss, so the search ends: it stops after a
-    sweep that changes nothing.
+    sweep that changes nothing. Returns the grid and its hard loss.
     """
-    grid = np.array(grid)
+    grid = np.array(reencoded)
+    sq = _squared_residual(grid, received, spec, tokenizer)
+    if not np.array_equal(optimized, grid):
+        sq_opt = _squared_residual(optimized, received, spec, tokenizer)
+        if sq_opt.sum() < sq.sum():
+            grid, sq = np.array(optimized), sq_opt
     patch = tokenizer.patch
     reach = chan.compile_channel(spec, received.shape).reach
     period = _period(patch, reach)
     flat = grid.ravel()
-    sq = _squared_residual(grid, received, spec, tokenizer)
     changed = True
     while changed:
         changed = False
         for a in range(period):
             for b in range(period):
-                tiles = _tile_losses(sq, patch, reach, a, b)
+                tiles = _tile_losses(sq, patch, reach, period, a, b)
                 m, n = np.nonzero(tiles)
                 if len(m) == 0:
                     continue
@@ -222,7 +210,7 @@ def search_tokens(grid: np.ndarray, received: np.ndarray, spec: ChannelSpec,
                                       pos).token_ids
                     for pos in (rows * grid.shape[1] + cols).tolist()])
                 losses = _score_class(grid, rows, cols, supports, received,
-                                      spec, tokenizer, reach)
+                                      spec, tokenizer, reach, period, a, b)
                 best = losses.argmin(axis=1)
                 better = losses[np.arange(len(best)), best] < tiles[m, n]
                 if better.any():
@@ -230,4 +218,4 @@ def search_tokens(grid: np.ndarray, received: np.ndarray, spec: ChannelSpec,
                         supports[better, best[better]]
                     sq = _squared_residual(grid, received, spec, tokenizer)
                     changed = True
-    return grid
+    return grid, float(np.sqrt(sq.sum()))

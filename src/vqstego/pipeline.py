@@ -3,10 +3,12 @@
 A run embeds a framed message into an image-token stream, synthesizes the
 image, pushes it through the channel, recovers tokens in three stages
 (re-encode; optimize and search; error-correct from the companion text
-stream) and extracts the message. Stage 2 is one helper, `_stage2`, which
-the sender's simulation and the receiver both call. The simulation shares
-the receiver's noise seed, so the sender's recovered grid — and therefore
-the correction stream it writes — matches what the receiver will compute.
+stream) and extracts the message. Stages 1 and 2 are one helper, `_stage2`,
+which the sender's simulation and the receiver both call: it re-encodes
+once, runs the L-BFGS solve, and hands both grids to the discrete search,
+whose hard loss is the run's `final_loss`. The simulation shares the
+receiver's noise seed, so the sender's recovered grid — and therefore the
+correction stream it writes — matches what the receiver will compute.
 """
 
 from __future__ import annotations
@@ -67,8 +69,7 @@ class Pipeline:
         tok = build_tokenizer(cfg.decoder_seed, book, cfg.patch, cfg.grid_h,
                               cfg.grid_w, cfg.alpha, cfg.weight_scale,
                               cfg.bias_scale)
-        params = EccParams.for_grid(cfg.n_tokens, cfg.image_model.top_k,
-                                    cfg.lambda1, cfg.lambda2)
+        params = EccParams.for_grid(cfg.n_tokens, cfg.lambda1, cfg.lambda2)
         return cls(cfg=cfg, tokenizer=tok, ecc_params=params)
 
     def condition(self, key: StegoKey) -> Condition:
@@ -120,7 +121,7 @@ def _attach_correction_text(pipe: Pipeline, key: StegoKey,
     """
     cfg = pipe.cfg
     received_sim = chan.apply(cfg.channel, result.image)
-    sim_grid, _ = _stage2(pipe, condition, received_sim)
+    _, sim_grid, _, _ = _stage2(pipe, condition, received_sim)
     pair = cfg.lambda1 + cfg.lambda2
     budget = cfg.max_tokens * 8
     while True:
@@ -142,14 +143,21 @@ def _attach_correction_text(pipe: Pipeline, key: StegoKey,
         return
 
 
-def _stage2(pipe: Pipeline, condition: Condition,
-            received: np.ndarray) -> tuple[np.ndarray, OptimReport]:
-    """Stage-2 recovery: the L-BFGS solve, then the discrete search."""
-    cfg = pipe.cfg
-    grid, report = optimize_tokens(received, cfg.channel, pipe.tokenizer,
-                                   cfg.optim)
-    return search_tokens(grid, received, cfg.channel, pipe.tokenizer,
-                         cfg.image_model, condition), report
+def _stage2(pipe: Pipeline, condition: Condition, received: np.ndarray,
+            ) -> tuple[np.ndarray, np.ndarray, float, OptimReport]:
+    """Stage 1 (re-encode), then stage 2: the L-BFGS solve and the discrete
+    search, which starts from the better of the two grids. Returns both
+    stages' grids, the hard channel loss of the stage-2 grid and the
+    solve's report."""
+    cfg, tok = pipe.cfg, pipe.tokenizer
+    # Stage 1 comes before the solve on purpose: freeing quantize's large
+    # temporary raises glibc's malloc thresholds, so the solve's per-
+    # evaluation arrays reuse heap pages instead of faulting fresh ones.
+    grid1 = tok.quantize(tok.encode(received))
+    grid, report = optimize_tokens(received, cfg.channel, tok, cfg.optim)
+    grid2, hard_loss = search_tokens(grid1, grid, received, cfg.channel, tok,
+                                     cfg.image_model, condition)
+    return grid1, grid2, hard_loss, report
 
 
 @dataclass
@@ -159,6 +167,7 @@ class ExtractResult:
     grid_stage3: np.ndarray
     message: BitString
     framed_bits: BitString
+    final_loss: float       # hard channel loss of grid_stage2
     opt_report: OptimReport
     ecc_applied: bool
     ecc_error: str | None = None
@@ -170,9 +179,7 @@ def extract_message(pipe: Pipeline, key: StegoKey, received: np.ndarray,
     corrections."""
     cfg = pipe.cfg
     condition = pipe.condition(key)
-    tok = pipe.tokenizer
-    grid1 = tok.quantize(tok.encode(received))
-    grid2, report = _stage2(pipe, condition, received)
+    grid1, grid2, final_loss, report = _stage2(pipe, condition, received)
     grid3 = grid2
     ecc_applied = False
     ecc_error = None
@@ -183,7 +190,7 @@ def extract_message(pipe: Pipeline, key: StegoKey, received: np.ndarray,
             ecc_bits = unframe_message(
                 framed_ecc, KeyedStream(key.with_domain(FRAME_TEXT_DOMAIN)))
             grid3 = ecc_decode(ecc_bits, grid2, cfg.image_model, condition,
-                               tok.codebook, pipe.ecc_params)
+                               pipe.tokenizer.codebook, pipe.ecc_params)
             ecc_applied = True
         except (MalformedEcc, TruncatedFrame) as exc:
             ecc_error = f"{type(exc).__name__}: {exc}"
@@ -198,7 +205,8 @@ def extract_message(pipe: Pipeline, key: StegoKey, received: np.ndarray,
             max(0, len(framed) - HEADER_BITS))
     return ExtractResult(grid_stage1=grid1, grid_stage2=grid2,
                          grid_stage3=grid3, message=message,
-                         framed_bits=framed, opt_report=report,
+                         framed_bits=framed, final_loss=final_loss,
+                         opt_report=report,
                          ecc_applied=ecc_applied, ecc_error=ecc_error)
 
 
@@ -262,7 +270,7 @@ def score_run(pipe: Pipeline, key: StegoKey, embedded: EmbedResult,
         message_bits=len(true_message),
         embedded_bits=embedded.embedded_bits,
         **_recovery(extracted, key, true_message, embedded.grid),
-        final_loss=extracted.opt_report.final_loss,
+        final_loss=extracted.final_loss,
         opt_steps=extracted.opt_report.steps_run,
         text_payload_bits=(embedded.text.payload_bits
                            if embedded.text else None),
@@ -380,7 +388,7 @@ def run_extract(cfg: PipelineConfig, image_path, text_path=None,
         "message_bits": len(extracted.message),
         "ecc_applied": extracted.ecc_applied,
         "ecc_error": extracted.ecc_error,
-        "final_loss": extracted.opt_report.final_loss,
+        "final_loss": extracted.final_loss,
         "opt_steps": extracted.opt_report.steps_run,
     }
     if truth is not None:

@@ -16,7 +16,7 @@ from vqstego.vq import Codebook, build_codebook
 MODEL = ModelSpec(vocab_size=256, top_k=32, seed=1)
 COND = Condition(5)
 BOOK = build_codebook(7, 256, 8)
-PARAMS = EccParams.for_grid(576, 32)  # L = 9
+PARAMS = EccParams.for_grid(576)  # L = 9
 
 
 def true_grid(seed=0, n=576):
@@ -102,7 +102,7 @@ class TestProximityRank:
     def test_rank_exceeding_lambda2_overflows(self):
         g = true_grid(4)
         pos = 6
-        params = EccParams(lambda1=8, lambda2=1, position_bits=9, top_k=32)
+        params = EccParams(lambda1=8, lambda2=1, position_bits=9)
         d = next_distribution(MODEL, COND, g[:pos].tolist(), pos)
         wrong = int(g[pos])
         order = _proximity_order(d.token_ids, wrong, BOOK)
@@ -245,8 +245,7 @@ class TestCapacityTau:
         # clamps at zero, so compare only where both count something.
         if lam2 > lam1 + L:
             return
-        params = EccParams(lambda1=lam1, lambda2=lam2, position_bits=L,
-                           top_k=32)
+        params = EccParams(lambda1=lam1, lambda2=lam2, position_bits=L)
         tau_formula, tau_layout = capacity_tau(params, payload)
         if payload >= L + lam2:
             assert tau_layout <= tau_formula

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from vqstego.errors import NonFiniteLoss, ShapeMismatch
 from vqstego.optimizer import (OptimConfig, loss, loss_and_gradient,
                                optimize_tokens, search_tokens)
 from vqstego.token_model import Condition, condition_from_key
-from vqstego.vq import build_codebook, build_tokenizer
+from vqstego.vq import Codebook, build_codebook, build_tokenizer
 
 LOSSLESS = ChannelSpec()
 
@@ -26,13 +28,16 @@ def mild_tokenizer():
     return tok
 
 
-def capture_losses(monkeypatch) -> list[float]:
-    """Record every value `optimize_tokens` gets from loss_and_gradient."""
+def capture_losses(monkeypatch, latents=None) -> list[float]:
+    """Record every value `optimize_tokens` gets from loss_and_gradient,
+    and the latents it was evaluated at into `latents` if given."""
     values = []
 
     def recorded(*args):
         value, g = loss_and_gradient(*args)
         values.append(value)
+        if latents is not None:
+            latents.append(args[0].copy())
         return value, g
 
     monkeypatch.setattr(optimizer, "loss_and_gradient", recorded)
@@ -142,12 +147,16 @@ class TestOptimize:
         spec = ChannelSpec((GaussianStage(0.02),), noise_seed=5)
         grid, _, img = true_setup(tokenizer, 9)
         received = chan.apply(spec, img)
-        values = capture_losses(monkeypatch)
-        _, report = optimize_tokens(received, spec, tokenizer, OptimConfig())
+        points = []
+        values = capture_losses(monkeypatch, points)
+        out, report = optimize_tokens(received, spec, tokenizer,
+                                      OptimConfig())
         assert report.steps_run == len(values) >= 2
         assert all(v >= 0 for v in values)
+        assert min(values) < values[0]
         # the quantized point is the best one L-BFGS evaluated
-        assert report.final_loss == min(values) < values[0]
+        best = points[int(np.argmin(values))]
+        assert np.array_equal(out, tokenizer.quantize(best))
 
     def test_reused_plan_changes_nothing(self, tokenizer, monkeypatch):
         # the first call compiles the channel, the second reuses the cached
@@ -163,7 +172,6 @@ class TestOptimize:
                                           OptimConfig(steps=300)), values))
         (grid_a, rep_a, values_a), (grid_b, rep_b, values_b) = runs
         assert np.array_equal(grid_a, grid_b)
-        assert rep_a.final_loss == rep_b.final_loss
         assert rep_a.steps_run == rep_b.steps_run
         assert values_a == values_b
 
@@ -205,7 +213,8 @@ class TestOptimize:
     def test_non_finite_loss_raises(self, tokenizer):
         # a received image whose residual norm overflows to inf
         bad = np.full((96, 96, 3), 1e308)
-        with pytest.raises(NonFiniteLoss):
+        with pytest.raises(NonFiniteLoss), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             optimize_tokens(bad, LOSSLESS, tokenizer, OptimConfig(steps=5))
 
     def test_config_validation(self):
@@ -248,9 +257,9 @@ class TestSearch:
                 candidates[1, 0] = grid[rows[1], cols[1]]
                 batch = optimizer._score_class(grid, rows, cols, candidates,
                                                received, spec, tokenizer,
-                                               reach)
+                                               reach, period, a, b)
                 tiles = optimizer._tile_losses(sq, tokenizer.patch, reach,
-                                               a, b)
+                                               period, a, b)
                 for c, (i, j) in enumerate(zip(rows, cols)):
                     for s, token in enumerate(candidates[c]):
                         one = grid.copy()
@@ -274,9 +283,11 @@ class TestSearch:
         spec = parse_channel("gaussian:0.01,quantize:32,rescale:0.5", seed)
         received = chan.apply(spec, tok.decode(true_grid))
         start, _ = optimize_tokens(received, spec, tok, OptimConfig())
-        found = search_tokens(start, received, spec, tok, model, condition)
+        found, hard_loss = search_tokens(tok.quantize(tok.encode(received)),
+                                         start, received, spec, tok, model,
+                                         condition)
         assert np.array_equal(found, true_grid)
-        assert hard_loss_sq(found, received, spec, tok) == 0.0
+        assert hard_loss == hard_loss_sq(found, received, spec, tok) == 0.0
 
     def test_loss_never_rises_and_zero_tiles_stay(self, pipe, monkeypatch):
         # uniform random tokens are mostly outside the model's support, so
@@ -297,16 +308,17 @@ class TestSearch:
 
         monkeypatch.setattr(optimizer, "_score_class", recorded)
         condition = Condition(3)
-        found = search_tokens(start, received, spec, tok,
-                              pipe.cfg.image_model, condition)
+        found, hard_loss = search_tokens(start, start, received, spec, tok,
+                                         pipe.cfg.image_model, condition)
         assert len(calls) > period * period
         grids = [g for g, _, _ in calls] + [found]
         losses = [hard_loss_sq(g, received, spec, tok) for g in grids]
-        assert losses[-1] < losses[0]
+        assert 0 < losses[-1] < losses[0]
+        assert hard_loss == pytest.approx(np.sqrt(losses[-1]), rel=1e-12)
         assert all(b <= a for a, b in zip(losses, losses[1:]))
         for (grid, rows, cols), after in zip(calls, grids[1:]):
             sq = optimizer._squared_residual(grid, received, spec, tok)
-            tiles = optimizer._tile_losses(sq, tok.patch, reach,
+            tiles = optimizer._tile_losses(sq, tok.patch, reach, period,
                                            rows[0] % period, cols[0] % period)
             scored = np.zeros(tiles.shape, dtype=bool)
             scored[rows // period, cols // period] = True
@@ -324,9 +336,46 @@ class TestSearch:
         tok = pipe.tokenizer
         true_grid, _, img = true_setup(tok, 17)
         monkeypatch.setattr(optimizer, "_score_class", None)
-        found = search_tokens(true_grid, chan.apply(spec, img), spec, tok,
-                              pipe.cfg.image_model, Condition(3))
+        found, hard_loss = search_tokens(true_grid, true_grid,
+                                         chan.apply(spec, img), spec, tok,
+                                         pipe.cfg.image_model, Condition(3))
         assert np.array_equal(found, true_grid)
+        assert hard_loss == 0.0
+
+    def test_start_is_the_grid_with_lower_hard_loss(self, pipe, monkeypatch):
+        # a zero-loss start is a fixed point, so the search scores nothing
+        # and returns whichever grid it started from; token 1 is given
+        # token 0's codebook vector, so swapping one for the other in a
+        # cell ties the hard loss exactly
+        vectors = pipe.tokenizer.codebook.vectors.copy()
+        vectors[1] = vectors[0]
+        tok = replace(pipe.tokenizer,
+                      codebook=Codebook(vectors=vectors, min_distance=0.0))
+        spec = parse_channel("gaussian:0.01,quantize:32,rescale:0.5", 10)
+        true_grid, _, _ = true_setup(tok, 18)
+        true_grid[0, 0] = 0
+        received = chan.apply(spec, tok.decode(true_grid))
+        wrong = true_grid.copy()
+        wrong[5, 5] = (wrong[5, 5] + 7) % tok.codebook.size
+        twin = true_grid.copy()
+        twin[0, 0] = 1
+        assert hard_loss_sq(wrong, received, spec, tok) > 0.0
+        assert hard_loss_sq(twin, received, spec, tok) == 0.0
+        monkeypatch.setattr(optimizer, "_score_class", None)
+
+        def search(reencoded, optimized):
+            return search_tokens(reencoded, optimized, received, spec, tok,
+                                 pipe.cfg.image_model, Condition(3))
+
+        for reencoded, optimized in ((wrong, true_grid), (true_grid, wrong)):
+            found, hard_loss = search(reencoded, optimized)
+            assert np.array_equal(found, true_grid)
+            assert hard_loss == 0.0
+        # a tie keeps the re-encoded grid
+        for reencoded, optimized in ((true_grid, twin), (twin, true_grid)):
+            found, hard_loss = search(reencoded, optimized)
+            assert np.array_equal(found, reencoded)
+            assert hard_loss == 0.0
 
 
 GOLDEN_TRACE = [25.814919826264283, 25.244644438479042, 22.982469647855375]

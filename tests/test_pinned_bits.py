@@ -79,6 +79,6 @@ def test_ecc_bitstream_on_synthetic_grid():
         d = np.linalg.norm(book.vectors - book.vectors[true[pos]], axis=1)
         recovered[pos] = int(np.argsort(d, kind="stable")[1])
     enc = ecc_encode(true.reshape(24, 24), recovered.reshape(24, 24), MODEL,
-                     COND, book, EccParams.for_grid(576, 32), 1000)
+                     COND, book, EccParams.for_grid(576), 1000)
     assert enc.bits.to01() == ECC_BITS
     assert enc.record_list.positions == [3, 40, 41, 100, 250]

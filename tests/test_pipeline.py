@@ -83,6 +83,19 @@ class TestEmbedExtract:
         assert np.array_equal(out.grid_stage3, out.grid_stage2)
         assert out.message == message
 
+    def test_final_loss_is_hard_loss_of_stage2_grid(self, fast_cfg, key):
+        pipe = Pipeline.from_config(fast_cfg)
+        embedded = embed_message(pipe, key, make_message(key))
+        rng = np.random.Generator(np.random.PCG64(0))
+        received = embedded.image + 0.05 * rng.standard_normal(
+            embedded.image.shape)
+        out = extract_message(pipe, key, received)
+        sim = chan.apply(fast_cfg.channel,
+                         pipe.tokenizer.decode(out.grid_stage2))
+        assert out.final_loss > 0.0
+        assert out.final_loss == pytest.approx(
+            float(np.linalg.norm(received - sim)), rel=1e-12)
+
 
 class TestBenchmarkRun:
     def test_lossless_exact(self, fast_cfg):
@@ -100,6 +113,15 @@ class TestBenchmarkRun:
         assert m.text_payload_bits is not None
         assert m.text_payload_bits <= m.text_capacity_bits
         assert m.recovered_exact
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_quantize16_final_loss_zero(self, seed):
+        # stage 2 recovers every token, so the hard loss it reports is 0
+        cfg = replace(default_config(),
+                      channel=chan.parse_channel("quantize:16", 0))
+        m = benchmark_run(cfg, seed=seed)
+        assert m.r_q_stage2 == 100.0
+        assert m.final_loss == 0.0
 
     def test_deterministic(self, fast_cfg):
         a = benchmark_run(fast_cfg, seed=3, message_bits=100)
@@ -122,6 +144,8 @@ class TestFileRuns:
         assert got == message
         assert info["recovered_exact"]
         assert info["r_q_stage2"] == 100.0
+        # only the float32 rounding of the .vqi pixels is left
+        assert 0.0 < info["final_loss"] < 1e-5
         assert info["cap"] == 150
 
     def test_embed_writes_text_when_ecc_enabled(self, tmp_path):
