@@ -7,12 +7,18 @@ tokens, so the copy index -- and therefore k* message bits -- can be
 recovered from the emitted token alone. k* depends only on (distribution,
 r), never on the message, which is what keeps the token law equal to the
 model's sampling law.
+
+Two walks step the token model under the key. `embed_sequence` reads the
+embedding walk, and `sequence_capacity` reads it over an empty message (the
+pad-only path); `extract_sequence` and `copy_index_trace` read the extraction
+walk. `sample_sequence` makes no capacity search and keeps its own loop.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -90,29 +96,48 @@ def _streams(key: StegoKey, domain: str) -> tuple[KeyedStream, KeyedStream]:
             KeyedStream(key.with_domain(domain + PAD_SUFFIX)))
 
 
+def _embed_walk(model: ModelSpec, condition: Condition, message: BitString,
+                key: StegoKey, length: int,
+                domain: str) -> Iterator[StepOutcome]:
+    """The embedder's walk: each step's outcome, in order."""
+    r_stream, pad_stream = _streams(key, domain)
+    tokens: list[int] = []
+    consumed = 0
+    for t in range(length):
+        dist = next_distribution(model, condition, tokens, t)
+        outcome = embed_step(dist, r_stream.next_uniform(),
+                             message[consumed:], pad_stream)
+        tokens.append(outcome.token)
+        consumed += outcome.bits_embedded
+        yield outcome
+
+
+def _extract_walk(model: ModelSpec, condition: Condition,
+                  tokens: Sequence[int], key: StegoKey,
+                  domain: str) -> Iterator[tuple[BitString, int]]:
+    """Each token's `extract_step`; TokenNotInSupport at an unreachable one."""
+    r_stream, _ = _streams(key, domain)
+    prefix: list[int] = []
+    for t, tok in enumerate(tokens):
+        dist = next_distribution(model, condition, prefix, t)
+        yield extract_step(dist, r_stream.next_uniform(), int(tok))
+        prefix.append(int(tok))
+
+
 def embed_sequence(model: ModelSpec, condition: Condition, message: BitString,
                    key: StegoKey, length: int, domain: str,
                    ) -> tuple[np.ndarray, int, list[tuple[int, int]]]:
     """Embed message bits over `length` autoregressive steps.
 
-    Returns the token sequence, the count of message bits consumed and the
-    per-step (capacity, copy_index) trace, which equals what
-    `copy_index_trace` recovers from the tokens. Trailing steps after
-    message exhaustion are keystream-padded, so the stego statistics match
-    plain sampling everywhere.
+    Returns the tokens, the count of message bits consumed and the per-step
+    (capacity, copy_index) trace that `copy_index_trace` recovers from the
+    tokens. Steps after the message runs out are keystream-padded, so the
+    stego statistics match plain sampling everywhere.
     """
-    r_stream, pad_stream = _streams(key, domain)
-    tokens: list[int] = []
-    trace: list[tuple[int, int]] = []
-    consumed = 0
-    for t in range(length):
-        dist = next_distribution(model, condition, tokens, t)
-        r = r_stream.next_uniform()
-        outcome = embed_step(dist, r, message[consumed:], pad_stream)
-        tokens.append(outcome.token)
-        trace.append((outcome.capacity, outcome.copy_index))
-        consumed += outcome.bits_embedded
-    return np.array(tokens, dtype=np.int64), consumed, trace
+    steps = list(_embed_walk(model, condition, message, key, length, domain))
+    return (np.array([s.token for s in steps], dtype=np.int64),
+            sum(s.bits_embedded for s in steps),
+            [(s.capacity, s.copy_index) for s in steps])
 
 
 def extract_sequence(model: ModelSpec, condition: Condition,
@@ -124,18 +149,10 @@ def extract_sequence(model: ModelSpec, condition: Condition,
     steps are returned (prefix semantics -- everything after the first
     unrecoverable token is lost).
     """
-    r_stream, _ = _streams(key, domain)
     out = BitString()
-    prefix: list[int] = []
-    for t, tok in enumerate(tokens):
-        dist = next_distribution(model, condition, prefix, t)
-        r = r_stream.next_uniform()
-        try:
-            bits, _ = extract_step(dist, r, int(tok))
-        except TokenNotInSupport:
-            break
-        out += bits
-        prefix.append(int(tok))
+    with suppress(TokenNotInSupport):
+        for bits, _ in _extract_walk(model, condition, tokens, key, domain):
+            out += bits
     return out
 
 
@@ -152,17 +169,9 @@ def sample_sequence(model: ModelSpec, condition: Condition, key: StegoKey,
 
 def sequence_capacity(model: ModelSpec, condition: Condition, key: StegoKey,
                       length: int, domain: str) -> int:
-    """Total per-step capacity realized along the keystream-padded path."""
-    r_stream, pad_stream = _streams(key, domain)
-    empty = BitString()
-    total = 0
-    tokens: list[int] = []
-    for t in range(length):
-        dist = next_distribution(model, condition, tokens, t)
-        outcome = embed_step(dist, r_stream.next_uniform(), empty, pad_stream)
-        tokens.append(outcome.token)
-        total += outcome.capacity
-    return total
+    """Total capacity of the embedding walk over an empty message."""
+    return sum(s.capacity for s in _embed_walk(model, condition, BitString(),
+                                               key, length, domain))
 
 
 def copy_index_trace(model: ModelSpec, condition: Condition,
@@ -171,16 +180,7 @@ def copy_index_trace(model: ModelSpec, condition: Condition,
     """(capacity, copy_index) per step of a stego sequence, given the key.
 
     The security harness re-walks the biased control's tokens with it, since
-    no embedder produced them; stego sequences carry their trace from
-    `embed_sequence`.
+    no embedder produced them. An unreachable token raises TokenNotInSupport.
     """
-    r_stream, _ = _streams(key, domain)
-    trace = []
-    prefix: list[int] = []
-    for t, tok in enumerate(tokens):
-        dist = next_distribution(model, condition, prefix, t)
-        r = r_stream.next_uniform()
-        bits, k = extract_step(dist, r, int(tok))
-        trace.append((k, bits.to_int()))
-        prefix.append(int(tok))
-    return trace
+    walk = _extract_walk(model, condition, tokens, key, domain)
+    return [(k, bits.to_int()) for bits, k in walk]

@@ -82,6 +82,10 @@ class PipelineConfig:
             if not -2**63 <= value < 2**63:
                 raise MalformedInput(f"{name} {value} is outside the signed "
                                      f"64-bit range")
+        # numpy's PCG64 takes only non-negative seeds
+        for name in ("codebook_seed", "decoder_seed"):
+            if getattr(self, name) < 0:
+                raise MalformedInput(f"{name} must be >= 0")
         # each text token is rendered as one word of the word list
         if self.text_model.vocab_size > len(word_list()):
             raise MalformedInput(

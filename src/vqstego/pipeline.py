@@ -122,7 +122,7 @@ def _attach_correction_text(pipe: Pipeline, key: StegoKey,
     cfg = pipe.cfg
     received_sim = chan.apply(cfg.channel, result.image)
     _, sim_grid, _, _ = _stage2(pipe, condition, received_sim)
-    pair = cfg.lambda1 + cfg.lambda2
+    record = pipe.ecc_params.record_bits(first=False)
     budget = cfg.max_tokens * 8
     while True:
         enc = ecc_encode(result.grid, sim_grid, cfg.image_model, condition,
@@ -136,7 +136,7 @@ def _attach_correction_text(pipe: Pipeline, key: StegoKey,
             if budget == 0:
                 raise
             realized = exc.realized_bits or 0
-            budget = max(0, min(realized - HEADER_BITS, budget - pair))
+            budget = max(0, min(realized - HEADER_BITS, budget - record))
             continue
         result.text = text
         result.ecc = enc

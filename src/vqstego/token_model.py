@@ -90,10 +90,12 @@ def _logits(spec: ModelSpec, condition: Condition, context: Sequence[int],
 
 def next_distribution(spec: ModelSpec, condition: Condition,
                       prefix: Sequence[int], position: int) -> Distribution:
-    for tok in prefix:
+    # only the context reaches the hash, so tokens before it cannot change
+    # the result; each walk's tokens were in range when it appended them
+    context = tuple(prefix[-spec.context_order:]) if spec.context_order else ()
+    for tok in context:
         if not (0 <= tok < spec.vocab_size):
             raise TokenOutOfRange(f"prefix token {tok} >= {spec.vocab_size}")
-    context = tuple(prefix[-spec.context_order:]) if spec.context_order else ()
     logits = _logits(spec, condition, context, position)
     z = logits / spec.temperature
     z -= z.max()

@@ -225,6 +225,9 @@ class TestExitCodes:
         ("embed", "", ["--seed", "9223372036854775808"]),
         ("security-test", "", ["--seed", "-9223372036854775809"]),
         ("embed", "[channel]\nnoise_seed = 9223372036854775808\n", []),
+        # numpy seeds the codebook and the decoder from non-negative seeds
+        ("embed", "[vq]\ncodebook_seed = -1\n", []),
+        ("embed", "[vq]\ndecoder_seed = -3\n", []),
         # one cell leaves no bits to address a correction, ECC on or off
         ("embed", "[vq]\ngrid_h = 1\ngrid_w = 1\n[ecc]\nenabled = false\n",
          []),
@@ -242,6 +245,7 @@ class TestExitCodes:
         ("sweep", "[optimizer]\nsteps = 30\n",
          ["--seeds", "1", "--message-bits", "-9"]),
     ], ids=["ini-seed", "seed-flag", "negative-seed-flag", "noise-seed",
+            "negative-codebook-seed", "negative-decoder-seed",
             "one-cell-grid", "context-order", "max-tokens", "positions",
             "zero-samples", "negative-samples", "negative-seeds",
             "zero-seeds", "max-tokens-list", "negative-message-bits",

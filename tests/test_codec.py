@@ -315,3 +315,27 @@ class TestSequences:
             assert trace == copy_index_trace(MODEL, cond, tokens, key,
                                              "image")
             assert consumed == min(n_bits, sum(k for k, _ in trace))
+
+    @pytest.mark.parametrize("model", [
+        MODEL,
+        ModelSpec(vocab_size=512, top_k=64, seed=2, num_conditions=4096),
+    ], ids=["image", "text"])
+    def test_capacity_walk_equals_pad_only_embedding(self, model):
+        # sequence_capacity sums the capacities of an empty-message embedding
+        for b, cond, length in ((13, COND, 0), (14, Condition(3), 17),
+                                (15, Condition(900), 200)):
+            key = self.make_key(b)
+            _, _, trace = embed_sequence(model, cond, BitString(), key, length,
+                                         "text")
+            assert sequence_capacity(model, cond, key, length, "text") == sum(
+                k for k, _ in trace)
+
+    def test_copy_index_trace_raises_at_unreachable_token(self):
+        key = self.make_key(16)
+        tokens, _, _ = embed_sequence(MODEL, COND, BitString(), key, 8,
+                                      "image")
+        support = next_distribution(MODEL, COND, tokens[:5].tolist(), 5)
+        outside = next(t for t in range(256) if t not in support.token_ids)
+        tokens[5] = outside
+        with pytest.raises(TokenNotInSupport):
+            copy_index_trace(MODEL, COND, tokens, key, "image")

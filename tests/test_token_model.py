@@ -65,6 +65,11 @@ class TestNextDistribution:
         with pytest.raises(TokenOutOfRange):
             next_distribution(SPEC, COND, [64], 1)
 
+    def test_last_token_of_long_prefix_out_of_range(self):
+        prefix = [t % 64 for t in range(500)] + [64]
+        with pytest.raises(TokenOutOfRange):
+            next_distribution(SPEC, COND, prefix, len(prefix))
+
     def test_sums_to_one_bulk(self):
         # [DERIVED] 10^4 random (condition, prefix) pairs sum to 1 +- 1e-12.
         rng = np.random.Generator(np.random.PCG64(0))
