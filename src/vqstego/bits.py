@@ -45,6 +45,11 @@ class BitString:
         return cls(bin(value | 1 << width)[3:].encode().translate(_FROM_ASCII))
 
     @classmethod
+    def join(cls, parts: Iterable["BitString"]) -> "BitString":
+        """The concatenation of `parts`, copied once."""
+        return cls(b"".join(part._bits for part in parts))
+
+    @classmethod
     def from01(cls, text: str) -> "BitString":
         data = text.encode("ascii", "replace")
         if data.translate(None, b"01"):

@@ -103,10 +103,13 @@ def _embed_walk(model: ModelSpec, condition: Condition, message: BitString,
     r_stream, pad_stream = _streams(key, domain)
     tokens: list[int] = []
     consumed = 0
+    # a support has at most top_k tokens, and step_capacity at most
+    # log2(len(support)) bits
+    most = model.top_k.bit_length() - 1
     for t in range(length):
         dist = next_distribution(model, condition, tokens, t)
         outcome = embed_step(dist, r_stream.next_uniform(),
-                             message[consumed:], pad_stream)
+                             message[consumed:consumed + most], pad_stream)
         tokens.append(outcome.token)
         consumed += outcome.bits_embedded
         yield outcome
@@ -149,11 +152,11 @@ def extract_sequence(model: ModelSpec, condition: Condition,
     steps are returned (prefix semantics -- everything after the first
     unrecoverable token is lost).
     """
-    out = BitString()
+    parts: list[BitString] = []
     with suppress(TokenNotInSupport):
         for bits, _ in _extract_walk(model, condition, tokens, key, domain):
-            out += bits
-    return out
+            parts.append(bits)
+    return BitString.join(parts)
 
 
 def sample_sequence(model: ModelSpec, condition: Condition, key: StegoKey,

@@ -25,7 +25,8 @@ import numpy as np
 
 from .bits import BitString
 from .errors import MalformedEcc, RankOverflow, ShapeMismatch
-from .token_model import Condition, ModelSpec, next_distribution
+from .token_model import (Condition, ModelSpec, context_before,
+                          next_distribution)
 from .vq import Codebook
 
 
@@ -126,8 +127,8 @@ def ecc_encode(true_grid: np.ndarray, recovered_grid: np.ndarray,
             break
         try:
             rank = proximity_rank(pos, int(work[pos]), true_tok,
-                                  work[:pos].tolist(), model, condition,
-                                  book, params)
+                                  context_before(work, pos, model), model,
+                                  condition, book, params)
         except RankOverflow:
             rl.truncated_at = pos
             break
@@ -168,7 +169,8 @@ def ecc_decode(ecc_bits: BitString, recovered_grid: np.ndarray,
         at += params.lambda2
         if pos >= n:
             raise MalformedEcc(f"corrected position {pos} outside the grid")
-        dist = next_distribution(model, condition, work[:pos].tolist(), pos)
+        dist = next_distribution(model, condition,
+                                 context_before(work, pos, model), pos)
         ordered = _proximity_order(dist.token_ids, int(work[pos]), book)
         if rank >= len(ordered):
             raise MalformedEcc(f"rank {rank} exceeds candidate count")

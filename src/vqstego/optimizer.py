@@ -7,9 +7,11 @@ surrogate, then quantizes its best point to tokens. `search_tokens` takes
 that grid and the re-encoded (stage-1) grid, starts from the one with the
 lower hard channel loss, and runs iterated conditional modes on that loss:
 each cell tries the image model's top-k support in its place, and keeps the
-one that lowers the loss most. The channel's stochastic stage is a frozen
-seeded field, so both objectives are deterministic, and under a shared
-noise seed the true token grid has a hard loss of exactly zero.
+one that lowers the loss most. A candidate is scored on the cell's own tile:
+the hard channel runs on a small window around the cell, not on the whole
+image. The channel's stochastic stage is a frozen seeded field, so both
+objectives are deterministic, and under a shared noise seed the true token
+grid has a hard loss of exactly zero.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from scipy.optimize import minimize
 from . import channel as chan
 from .channel import ChannelSpec
 from .errors import NonFiniteLoss, ShapeMismatch
-from .token_model import Condition, ModelSpec, next_distribution
+from .token_model import (Condition, ModelSpec, context_before,
+                          next_distribution)
 from .vq import Tokenizer
 
 
@@ -121,18 +124,30 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
 # reach / patch), form a colour class whose output windows are disjoint.
 # Cell (i, j)'s tile is the (period * patch)-pixel square whose corner is
 # (i * patch - reach, j * patch - reach): it holds the cell's whole window,
-# and the tiles of one class do not overlap. Changing every cell of a class
-# at once therefore changes each tile's residual only through its own cell.
+# and the tiles of one class do not overlap. Changing a cell of a class
+# therefore changes no other cell's tile, and the tile's residual depends only
+# on the image within `reach` of it. `_score_class` scores each candidate on
+# that (period * patch + 2 * reach)-pixel square alone; the whole image goes
+# through the channel only to pick the cells to score, after a class changes,
+# and for the loss the search returns.
 
 def _period(patch: int, reach: int) -> int:
     return 1 + -(-2 * reach // patch)
+
+
+def _colour_sum(x: np.ndarray) -> np.ndarray:
+    """`x` summed over its last axis, one colour after the other."""
+    total = x[..., 0].copy()
+    for c in range(1, x.shape[-1]):
+        total += x[..., c]
+    return total
 
 
 def _squared_residual(grid: np.ndarray, received: np.ndarray,
                       spec: ChannelSpec, tokenizer: Tokenizer) -> np.ndarray:
     """Hard-channel residual squared per pixel, summed over colour."""
     out = chan.apply(spec, tokenizer.decode(grid))
-    return ((received - out) ** 2).sum(axis=2)
+    return _colour_sum((received - out) ** 2)
 
 
 def _tile_losses(sq: np.ndarray, patch: int, reach: int, period: int,
@@ -149,23 +164,53 @@ def _tile_losses(sq: np.ndarray, patch: int, reach: int, period: int,
     return block.reshape(rows, t, cols, t).sum(axis=(1, 3))
 
 
+# Bytes of window data per batch of `_score_class`. A batch's temporaries are
+# a few times this: at 512 KB they added about 0.1 MB to noisy-roundtrip's
+# peak RSS, at 128 KB less than its run-to-run spread (2-CPU x86 VM), and the
+# search ran no slower.
+_CHUNK_BYTES = 1 << 17
+
+
 def _score_class(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  candidates: np.ndarray, received: np.ndarray,
                  spec: ChannelSpec, tokenizer: Tokenizer, reach: int,
                  period: int, a: int, b: int) -> np.ndarray:
     """Tile loss of cell (rows[c], cols[c]) holding candidates[c, s].
 
-    The cells must all lie in colour class (a, b). Column s of the result
-    costs one hard channel pass, which puts candidate s in every listed
-    cell at once.
+    The cells must all lie in colour class (a, b). Each (cell, candidate)
+    pair runs the hard channel on one window only: the cell's tile and the
+    `reach` pixels around it, cut from the decoded grid, with the
+    candidate's patch in the cell. Pixels outside the image count for
+    nothing. The windows go through the channel in batches of about
+    `_CHUNK_BYTES`, so the cost grows with the number of cells scored, not
+    with the image area.
     """
+    plan = chan.compile_channel(spec, received.shape)
+    p = tokenizer.patch
+    t = period * p
+    size = t + 2 * reach
+    k = candidates.shape[1]
+    top, left = rows * p - 2 * reach, cols * p - 2 * reach
+    base = chan.crop_windows(tokenizer.decode(grid), top, left, size)
+    target = chan.crop_windows(received, top + reach, left + reach, t)
+    inside = chan.crop_windows(np.ones(received.shape[:2]), top + reach,
+                               left + reach, t)[..., None]
+    cell = slice(2 * reach, 2 * reach + p)
     losses = np.empty(candidates.shape)
-    trial = np.array(grid)
-    for s in range(candidates.shape[1]):
-        trial[rows, cols] = candidates[:, s]
-        sq = _squared_residual(trial, received, spec, tokenizer)
-        tiles = _tile_losses(sq, tokenizer.patch, reach, period, a, b)
-        losses[:, s] = tiles[rows // period, cols // period]
+    step = max(1, _CHUNK_BYTES // (8 * k * base[0].size))
+    for lo in range(0, len(rows), step):
+        part = slice(lo, lo + step)
+        windows = np.repeat(base[part, None], k, axis=1)
+        windows[:, :, cell, cell] = tokenizer.patch_table[candidates[part]]
+        out = plan.run_windows(windows, top[part], left[part])
+        np.clip(out, -1.0, 1.0, out=out)
+        np.subtract(target[part, None], out, out=out)
+        out *= inside[part, None]
+        sq = _colour_sum(np.square(out, out=out))
+        # summed in `_tile_losses`' layout and order: equal pixels give
+        # equal tile losses, to the bit
+        losses[part] = np.ascontiguousarray(
+            sq.transpose(0, 2, 1, 3)).sum(axis=(1, 3))
     return losses
 
 
@@ -181,9 +226,11 @@ def search_tokens(reencoded: np.ndarray, optimized: np.ndarray,
     colour classes in turn. A cell whose tile residual is zero cannot
     improve and is skipped; every other cell of the class scores its top-k
     support under the current prefix and takes the candidate with the
-    lowest tile loss, if that is strictly below the current one. Each change
-    strictly lowers the hard loss, so the search ends: it stops after a
-    sweep that changes nothing. Returns the grid and its hard loss.
+    lowest tile loss, if that is strictly below the current token's, scored
+    in the same batch. A candidate equal to the current token is never
+    taken. Each change strictly lowers the hard loss, so the search ends: it
+    stops after a sweep that changes nothing. Returns the grid and its hard
+    loss.
     """
     grid = np.array(reencoded)
     sq = _squared_residual(grid, received, spec, tokenizer)
@@ -206,13 +253,20 @@ def search_tokens(reencoded: np.ndarray, optimized: np.ndarray,
                     continue
                 rows, cols = a + period * m, b + period * n
                 supports = np.array([
-                    next_distribution(model, condition, flat[:pos].tolist(),
+                    next_distribution(model, condition,
+                                      context_before(flat, pos, model),
                                       pos).token_ids
                     for pos in (rows * grid.shape[1] + cols).tolist()])
-                losses = _score_class(grid, rows, cols, supports, received,
-                                      spec, tokenizer, reach, period, a, b)
+                # column 0 is the current token, scored like the others
+                current = grid[rows, cols]
+                losses = _score_class(grid, rows, cols,
+                                      np.column_stack([current, supports]),
+                                      received, spec, tokenizer, reach,
+                                      period, a, b)
+                now, losses = losses[:, 0], losses[:, 1:]
+                losses[supports == current[:, None]] = np.inf
                 best = losses.argmin(axis=1)
-                better = losses[np.arange(len(best)), best] < tiles[m, n]
+                better = losses[np.arange(len(best)), best] < now
                 if better.any():
                     grid[rows[better], cols[better]] = \
                         supports[better, best[better]]

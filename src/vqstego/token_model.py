@@ -111,6 +111,13 @@ def next_distribution(spec: ModelSpec, condition: Condition,
     return Distribution(ids, p)
 
 
+def context_before(tokens: np.ndarray, position: int,
+                   spec: ModelSpec) -> list[int]:
+    """The tokens before `position` that `next_distribution` reads, as the
+    prefix to pass it: the last `context_order` of them."""
+    return tokens[max(0, position - spec.context_order):position].tolist()
+
+
 def condition_from_key(key: StegoKey, spec: ModelSpec) -> Condition:
     """Image-channel class label derived from the shared key.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -105,9 +106,25 @@ class Tokenizer:
                   .reshape(h * p, w * p, _CHANNELS))
         return (image, x) if with_cells else image
 
+    @cached_property
+    def patch_table(self) -> np.ndarray:
+        """Every token's decoded patch, (tokens, p, p, C), built on first
+        use: the rows `decode_continuous` computes for codebook vectors."""
+        table = self.codebook.vectors @ self.weight.T
+        table += self.bias
+        table *= self.alpha
+        np.tanh(table, out=table)
+        table.flags.writeable = False
+        return table.reshape(-1, self.patch, self.patch, _CHANNELS)
+
     def decode(self, grid: np.ndarray) -> np.ndarray:
+        """`decode_continuous(codebook.vectors[grid])`, gathered from the
+        patch table."""
         grid = self._check_grid(grid)
-        return self.decode_continuous(self.codebook.vectors[grid])
+        h, w, p = self.grid_h, self.grid_w, self.patch
+        return (self.patch_table[grid]
+                    .transpose(0, 2, 1, 3, 4)
+                    .reshape(h * p, w * p, _CHANNELS))
 
     def _patches(self, image: np.ndarray) -> np.ndarray:
         h, w, p = self.grid_h, self.grid_w, self.patch

@@ -43,6 +43,12 @@ class TestBitString:
         with pytest.raises(TypeError):
             a[0] = 0
 
+    def test_join_is_repeated_concatenation(self):
+        parts = [BitString.from01(t) for t in ("10", "", "011", "1")]
+        assert BitString.join(parts) == parts[0] + parts[1] + parts[2] + \
+            parts[3]
+        assert BitString.join([]) == BitString()
+
     def test_from_ndarray_reads_values(self):
         # bytes(ndarray) would read the int64 memory buffer: 16 bits
         assert BitString(np.array([1, 0])).to01() == "10"

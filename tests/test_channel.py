@@ -244,6 +244,44 @@ class TestPlan:
         assert plan.ops == () and plan.pullbacks == ()
 
 
+class TestWindows:
+    SPECS = ["lossless", "gaussian:0.02", "quantize:16", "rescale:0.5",
+             "rescale:2", "rescale:0.5,rescale:0.5",
+             "gaussian:0.01,quantize:32,rescale:0.5"]
+
+    def test_crop_reads_zero_outside(self):
+        a = rand_image(3, shape=(10, 7, 3))
+        got = chan.crop_windows(a, np.array([-2, 6]), np.array([4, -3]), 5)
+        want = np.zeros((2, 5, 5, 3))
+        want[0, 2:, :3] = a[:3, 4:]
+        want[1, :4, 3:] = a[6:, :2]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec_text", SPECS)
+    def test_run_windows_matches_run(self, spec_text):
+        # border windows included: outside the image, the output is masked
+        spec = parse_channel(spec_text, 4)
+        plan = chan.compile_channel(spec, (96, 96, 3))
+        reach = plan.reach
+        size = 7 + 2 * reach
+        image = rand_image(5, scale=0.8)
+        rng = np.random.Generator(np.random.PCG64(6))
+        top = rng.integers(-size, 96, 40)
+        left = rng.integers(-size, 96, 40)
+        top[:2], left[:2] = -2 * reach, 96 - size + 2 * reach
+        other = rand_image(7, scale=0.8)
+        windows = np.stack([chan.crop_windows(a, top, left, size)
+                            for a in (image, other)], axis=1)
+        got = plan.run_windows(windows, top, left)
+        assert got.shape == (40, 2, 7, 7, 3)
+        ones = chan.crop_windows(np.ones((96, 96)), top + reach,
+                                 left + reach, 7)[..., None]
+        for v, a in enumerate((image, other)):
+            want = chan.crop_windows(plan.run(a), top + reach, left + reach,
+                                     7)
+            assert np.max(np.abs(got[:, v] * ones - want)) < 1e-14
+
+
 class TestBanded:
     # each axis length with a partner of another length: a ragged last
     # block (28, 12 against blocks of 16) and axes shorter than a block

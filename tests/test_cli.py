@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,8 @@ class TestExitCodes:
         ("vq", "weight_scale", "inf"),
         ("channel", "spec", "gaussian:nan"),
         ("channel", "spec", "gaussian:inf"),
+        # finite, but its noise field overflows
+        ("channel", "spec", "gaussian:1e308,rescale:0.5"),
     ])
     def test_non_finite_setting_is_malformed(self, tmp_path, capsys, section,
                                              key, value):
@@ -176,8 +179,10 @@ class TestExitCodes:
         ini.write_text(f"[{section}]\n{key} = {value}\n")
         msg = tmp_path / "m.txt"
         msg.write_text("0101")
-        assert main(["embed", str(msg), "--config", str(ini),
-                     "--out", str(tmp_path)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["embed", str(msg), "--config", str(ini),
+                         "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "stego.vqi").exists()

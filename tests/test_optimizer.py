@@ -226,6 +226,23 @@ def hard_loss_sq(grid, received, spec, tok):
     return float(np.sum((received - chan.apply(spec, tok.decode(grid))) ** 2))
 
 
+def whole_image_score_class(grid, rows, cols, candidates, received, spec,
+                            tokenizer, reach, period, a, b):
+    """The tile losses from one whole-image hard channel pass per candidate
+    column, each putting that column's tokens in every listed cell."""
+    losses = np.empty(candidates.shape)
+    trial = np.array(grid)
+    for s in range(candidates.shape[1]):
+        trial[rows, cols] = candidates[:, s]
+        out = chan.apply(spec, tokenizer.decode_continuous(
+            tokenizer.codebook.vectors[trial]))
+        sq = ((received - out) ** 2).sum(axis=2)
+        tiles = optimizer._tile_losses(sq, tokenizer.patch, reach, period,
+                                       a, b)
+        losses[:, s] = tiles[rows // period, cols // period]
+    return losses
+
+
 class TestSearch:
     @pytest.mark.parametrize("spec_text,period", [
         ("lossless", 1), ("gaussian:0.02", 1), ("quantize:16", 1),
@@ -268,6 +285,75 @@ class TestSearch:
                                              tokenizer) - base
                         assert batch[c, s] - tiles[i // period, j // period] \
                             == pytest.approx(delta, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("spec_text", [
+        "lossless", "gaussian:0.02", "quantize:16", "rescale:0.5",
+        "rescale:2", "rescale:0.5,rescale:0.5",
+        "gaussian:0.01,quantize:32,rescale:0.5",
+    ])
+    def test_windows_match_whole_image_passes(self, pipe, monkeypatch,
+                                              spec_text):
+        # a uniform random start scores nearly every cell, border cells
+        # included, so a class holds more cells than one batch of windows
+        spec = parse_channel(spec_text, 11)
+        tok, model = pipe.tokenizer, pipe.cfg.image_model
+        _, _, img = true_setup(tok, 19)
+        received = chan.apply(spec, img)
+        rng = np.random.Generator(np.random.PCG64(20))
+        start = rng.integers(0, tok.codebook.size, (tok.grid_h, tok.grid_w))
+        sizes = []
+        score_class = optimizer._score_class
+
+        def windowed(grid, rows, *args):
+            sizes.append(len(rows))
+            return score_class(grid, rows, *args)
+
+        runs = []
+        for scorer in (windowed, whole_image_score_class):
+            monkeypatch.setattr(optimizer, "_score_class", scorer)
+            runs.append(search_tokens(start, start, received, spec, tok,
+                                      model, Condition(3)))
+        (found, hard_loss), (want, want_loss) = runs
+        assert np.array_equal(found, want)
+        assert hard_loss == want_loss
+        reach = chan.compile_channel(spec, received.shape).reach
+        size = optimizer._period(tok.patch, reach) * tok.patch + 2 * reach
+        window_bytes = 8 * (model.top_k + 1) * size * size * 3
+        assert max(sizes) * window_bytes > 2 * optimizer._CHUNK_BYTES
+
+    def test_current_token_in_the_support_is_never_taken(self, pipe,
+                                                         monkeypatch):
+        # a scorer that puts every repeat of a cell's current token below
+        # its first score; taking one would change no token but count as a
+        # change, so the search would never end
+        spec = parse_channel("gaussian:0.01,quantize:32,rescale:0.5", 12)
+        tok, model = pipe.tokenizer, pipe.cfg.image_model
+        key = StegoKey(bytes([21]) * 32)
+        condition = condition_from_key(key, model)
+        true_grid = sample_sequence(model, condition, key, tok.grid_h *
+                                    tok.grid_w, "image").reshape(
+            tok.grid_h, tok.grid_w)
+        received = chan.apply(spec, tok.decode(true_grid))
+        start = tok.quantize(tok.encode(received))
+        want = search_tokens(start, start, received, spec, tok, model,
+                             condition)
+        score_class = optimizer._score_class
+        repeats = []
+
+        def flattering(grid, rows, cols, candidates, *args):
+            assert len(repeats) < 100
+            losses = score_class(grid, rows, cols, candidates, *args)
+            same = candidates == grid[rows, cols][:, None]
+            repeat = same & (np.cumsum(same, axis=1) > 1)
+            losses[repeat] -= 1.0
+            repeats.append(int(repeat.sum()))
+            return losses
+
+        monkeypatch.setattr(optimizer, "_score_class", flattering)
+        found, hard_loss = search_tokens(start, start, received, spec, tok,
+                                         model, condition)
+        assert sum(repeats) > 0
+        assert np.array_equal(found, want[0]) and hard_loss == want[1]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_composite_recovers_every_token(self, pipe, seed):

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,27 @@ class TestDecodeEncode:
         for i in range(4):
             for j in range(4):
                 assert np.array_equal(img[4*i:4*i+4, 4*j:4*j+4, :], patch)
+
+    def test_decode_is_decode_continuous_of_the_vectors(self, tokenizer):
+        rng = np.random.Generator(np.random.PCG64(3))
+        for _ in range(20):
+            grid = rng.integers(0, tokenizer.codebook.size, (24, 24))
+            vectors = tokenizer.codebook.vectors[grid]
+            want = tokenizer.decode_continuous(vectors)
+            assert tokenizer.decode(grid).tobytes() == want.tobytes()
+
+    def test_patch_table_follows_the_codebook(self):
+        tok = small_tokenizer()
+        grid = np.arange(16).reshape(4, 4)
+        before = tok.decode(grid)
+        assert not tok.patch_table.flags.writeable
+        other = replace(tok, codebook=Codebook(
+            vectors=tok.codebook.vectors[::-1].copy(), min_distance=0.0))
+        assert np.array_equal(other.decode(grid),
+                              other.decode_continuous(
+                                  other.codebook.vectors[grid]))
+        assert np.array_equal(other.decode(grid), tok.decode(31 - grid))
+        assert np.array_equal(tok.decode(grid), before)
 
     def test_zero_latents_zero_bias_zero_image(self):
         tok = small_tokenizer(bias_scale=0.0)
