@@ -167,7 +167,11 @@ def _tile_losses(sq: np.ndarray, patch: int, reach: int, period: int,
 # Bytes of window data per batch of `_score_class`. A batch's temporaries are
 # a few times this: at 512 KB they added about 0.1 MB to noisy-roundtrip's
 # peak RSS, at 128 KB less than its run-to-run spread (2-CPU x86 VM), and the
-# search ran no slower.
+# search ran no slower. A batch holds at least one cell, and a cell's 33
+# candidates take 792 bytes per window pixel, so two cells share a batch only
+# if their windows are at most 9 pixels on a side. Channels with a rescale
+# stage have larger windows (12 pixels, 114 KB a cell, on rescale:0.5 and on
+# gaussian:0.01,quantize:32,rescale:0.5): there every batch is one cell.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -181,9 +185,9 @@ def _score_class(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     pair runs the hard channel on one window only: the cell's tile and the
     `reach` pixels around it, cut from the decoded grid, with the
     candidate's patch in the cell. Pixels outside the image count for
-    nothing. The windows go through the channel in batches of about
-    `_CHUNK_BYTES`, so the cost grows with the number of cells scored, not
-    with the image area.
+    nothing. The windows go through the channel in batches of at most
+    `_CHUNK_BYTES`, or of one cell where its windows take more, so the cost
+    grows with the number of cells scored, not with the image area.
     """
     plan = chan.compile_channel(spec, received.shape)
     p = tokenizer.patch
