@@ -401,6 +401,11 @@ def compile_channel(spec: ChannelSpec, shape: tuple) -> ChannelPlan:
     (noise fields, quantize levels, rescale operators), all read-only.
     """
     ops: list = []
+    # At least the largest absolute value a stage's input can take, for
+    # inputs in [-1, 1]. Rescale rows are convex combinations, and a
+    # quantize moves a value by at most 1 / (levels - 1), so only those and
+    # the noise add.
+    bound = 1.0
     for index, stage in enumerate(spec.stages):
         if isinstance(stage, GaussianStage):
             if stage.sigma > 0.0:
@@ -409,8 +414,15 @@ def compile_channel(spec: ChannelSpec, shape: tuple) -> ChannelPlan:
                 if not np.isfinite(noise).all():
                     raise MalformedInput(
                         f"channel stage {stage}: noise field overflows")
+                bound += float(np.abs(noise).max())
                 ops.append(_AddNoise(_read_only(noise)))
         elif isinstance(stage, QuantizeStage):
+            # `_quantize_values` scales x + 1 by (levels - 1) / 2
+            if not math.isfinite((bound + 1.0) * (stage.levels - 1) / 2.0):
+                raise MalformedInput(
+                    f"channel stage {stage}: its input can reach "
+                    f"{bound:g}, which overflows")
+            bound += 1.0 / (stage.levels - 1)
             ops.append(_Quantize(stage.levels))
         elif isinstance(stage, RescaleStage) and stage.factor != 1.0:
             ah, aht = _rescale_banded(shape[0], stage.factor)

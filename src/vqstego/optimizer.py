@@ -1,17 +1,17 @@
 """Stage-2 token recovery: a continuous solve, then an exact discrete search.
 
 `optimize_tokens` starts from the encoder's continuous latents for the
-received lossy image and runs L-BFGS on the squared L2 discrepancy between
-that image and the re-decoded image pushed through the smooth channel
-surrogate, then quantizes its best point to tokens. `search_tokens` takes
-that grid and the re-encoded (stage-1) grid, starts from the one with the
-lower hard channel loss, and runs iterated conditional modes on that loss:
-each cell tries the image model's top-k support in its place, and keeps the
-one that lowers the loss most. A candidate is scored on the cell's own tile:
-the hard channel runs on a small window around the cell, not on the whole
-image. The channel's stochastic stage is a frozen seeded field, so both
-objectives are deterministic, and under a shared noise seed the true token
-grid has a hard loss of exactly zero.
+received lossy image, whose quantization is the stage-1 grid, and runs
+L-BFGS-B with scipy's defaults on the squared L2 discrepancy between that
+image and the re-decoded image pushed through the smooth channel surrogate,
+then quantizes its best point to tokens. `search_tokens` starts from
+whichever of the two grids has the lower hard channel loss and runs iterated
+conditional modes on that loss: each cell tries the image model's top-k
+support in its place, and keeps the one that lowers the loss most. A
+candidate is scored on the cell's own tile, on a small window around one
+cell at a time, not on the whole image. The channel's stochastic stage is a
+frozen seeded field, so both objectives are deterministic, and under a
+shared noise seed the true token grid has a hard loss of exactly zero.
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ from .token_model import (Condition, ModelSpec, context_before,
 from .vq import Tokenizer
 
 
-# L-BFGS-B (Liu & Nocedal 1989) history size and stopping tolerances. The
-# tolerances are tight on purpose: L-BFGS runs until its line search makes
-# no more progress, and the discrete search finishes from there.
-LBFGS_MAXCOR = 10
-LBFGS_FTOL = 1e-15
-LBFGS_GTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class OptimConfig:
     steps: int = 2000
@@ -49,6 +41,7 @@ class OptimConfig:
 @dataclass
 class OptimReport:
     steps_run: int      # evaluations of `loss_and_gradient`
+    start: np.ndarray   # the quantized start point: the stage-1 grid
 
 
 def loss(latents: np.ndarray, received: np.ndarray, spec: ChannelSpec,
@@ -83,12 +76,15 @@ class _BudgetSpent(Exception):
 def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
                     tokenizer: Tokenizer, config: OptimConfig,
                     ) -> tuple[np.ndarray, OptimReport]:
-    """L-BFGS over continuous latents from the re-encoded ones, then a
+    """L-BFGS-B over continuous latents from the re-encoded ones, then a
     quantization of the best point it evaluated.
 
     `config.steps` caps the evaluations of `loss_and_gradient`.
     """
     z = tokenizer.encode(received)
+    # before the solve: freeing quantize's large temporary raises glibc's
+    # malloc thresholds, so the solve's arrays reuse heap pages
+    start = tokenizer.quantize(z)
     evals = 0
     # equals the first evaluation, which is at z itself
     best_value, best_z = loss(z, received, spec, tokenizer), z
@@ -109,12 +105,10 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
         return value * value, (2.0 * value * g).ravel()
 
     try:
-        minimize(squared, z.ravel(), method="L-BFGS-B", jac=True,
-                 options={"maxcor": LBFGS_MAXCOR, "ftol": LBFGS_FTOL,
-                          "gtol": LBFGS_GTOL})
+        minimize(squared, z.ravel(), method="L-BFGS-B", jac=True)
     except _BudgetSpent:
         pass
-    return tokenizer.quantize(best_z), OptimReport(steps_run=evals)
+    return tokenizer.quantize(best_z), OptimReport(evals, start)
 
 
 # -- discrete search ---------------------------------------------------------
@@ -164,36 +158,24 @@ def _tile_losses(sq: np.ndarray, patch: int, reach: int, period: int,
     return block.reshape(rows, t, cols, t).sum(axis=(1, 3))
 
 
-# Bytes of window data per batch of `_score_class`. A batch's temporaries are
-# a few times this: at 512 KB they added about 0.1 MB to noisy-roundtrip's
-# peak RSS, at 128 KB less than its run-to-run spread (2-CPU x86 VM), and the
-# search ran no slower. A batch holds at least one cell, and a cell's 33
-# candidates take 792 bytes per window pixel, so two cells share a batch only
-# if their windows are at most 9 pixels on a side. Channels with a rescale
-# stage have larger windows (12 pixels, 114 KB a cell, on rescale:0.5 and on
-# gaussian:0.01,quantize:32,rescale:0.5): there every batch is one cell.
-_CHUNK_BYTES = 1 << 17
-
-
 def _score_class(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  candidates: np.ndarray, received: np.ndarray,
-                 spec: ChannelSpec, tokenizer: Tokenizer, reach: int,
-                 period: int, a: int, b: int) -> np.ndarray:
+                 plan: chan.ChannelPlan, tokenizer: Tokenizer,
+                 period: int) -> np.ndarray:
     """Tile loss of cell (rows[c], cols[c]) holding candidates[c, s].
 
-    The cells must all lie in colour class (a, b). Each (cell, candidate)
-    pair runs the hard channel on one window only: the cell's tile and the
+    The cells must all lie in one colour class. Each (cell, candidate) pair
+    runs `plan`'s hard channel on one window only: the cell's tile and the
     `reach` pixels around it, cut from the decoded grid, with the
     candidate's patch in the cell. Pixels outside the image count for
-    nothing. The windows go through the channel in batches of at most
-    `_CHUNK_BYTES`, or of one cell where its windows take more, so the cost
-    grows with the number of cells scored, not with the image area.
+    nothing. The windows go through the channel one cell at a time, all of
+    its candidates together, so the cost grows with the number of cells
+    scored, not with the image area.
     """
-    plan = chan.compile_channel(spec, received.shape)
+    reach = plan.reach
     p = tokenizer.patch
     t = period * p
     size = t + 2 * reach
-    k = candidates.shape[1]
     top, left = rows * p - 2 * reach, cols * p - 2 * reach
     base = chan.crop_windows(tokenizer.decode(grid), top, left, size)
     target = chan.crop_windows(received, top + reach, left + reach, t)
@@ -201,10 +183,9 @@ def _score_class(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                                left + reach, t)[..., None]
     cell = slice(2 * reach, 2 * reach + p)
     losses = np.empty(candidates.shape)
-    step = max(1, _CHUNK_BYTES // (8 * k * base[0].size))
-    for lo in range(0, len(rows), step):
-        part = slice(lo, lo + step)
-        windows = np.repeat(base[part, None], k, axis=1)
+    for c in range(len(rows)):
+        part = slice(c, c + 1)
+        windows = np.repeat(base[part, None], candidates.shape[1], axis=1)
         windows[:, :, cell, cell] = tokenizer.patch_table[candidates[part]]
         out = plan.run_windows(windows, top[part], left[part])
         np.clip(out, -1.0, 1.0, out=out)
@@ -243,15 +224,15 @@ def search_tokens(reencoded: np.ndarray, optimized: np.ndarray,
         if sq_opt.sum() < sq.sum():
             grid, sq = np.array(optimized), sq_opt
     patch = tokenizer.patch
-    reach = chan.compile_channel(spec, received.shape).reach
-    period = _period(patch, reach)
+    plan = chan.compile_channel(spec, received.shape)
+    period = _period(patch, plan.reach)
     flat = grid.ravel()
     changed = True
     while changed:
         changed = False
         for a in range(period):
             for b in range(period):
-                tiles = _tile_losses(sq, patch, reach, period, a, b)
+                tiles = _tile_losses(sq, patch, plan.reach, period, a, b)
                 m, n = np.nonzero(tiles)
                 if len(m) == 0:
                     continue
@@ -265,8 +246,7 @@ def search_tokens(reencoded: np.ndarray, optimized: np.ndarray,
                 current = grid[rows, cols]
                 losses = _score_class(grid, rows, cols,
                                       np.column_stack([current, supports]),
-                                      received, spec, tokenizer, reach,
-                                      period, a, b)
+                                      received, plan, tokenizer, period)
                 now, losses = losses[:, 0], losses[:, 1:]
                 losses[supports == current[:, None]] = np.inf
                 best = losses.argmin(axis=1)

@@ -4,11 +4,12 @@ A run embeds a framed message into an image-token stream, synthesizes the
 image, pushes it through the channel, recovers tokens in three stages
 (re-encode; optimize and search; error-correct from the companion text
 stream) and extracts the message. Stages 1 and 2 are one helper, `_stage2`,
-which the sender's simulation and the receiver both call: it re-encodes
-once, runs the L-BFGS solve, and hands both grids to the discrete search,
-whose hard loss is the run's `final_loss`. The simulation shares the
-receiver's noise seed, so the sender's recovered grid — and therefore the
-correction stream it writes — matches what the receiver will compute.
+which the sender's simulation and the receiver both call: it runs the
+L-BFGS solve, whose quantized start point is the re-encoded grid, and hands
+both grids to the discrete search, whose hard loss is the run's
+`final_loss`. The simulation shares the receiver's noise seed, so the
+sender's recovered grid — and therefore the correction stream it writes —
+matches what the receiver will compute.
 """
 
 from __future__ import annotations
@@ -145,19 +146,16 @@ def _attach_correction_text(pipe: Pipeline, key: StegoKey,
 
 def _stage2(pipe: Pipeline, condition: Condition, received: np.ndarray,
             ) -> tuple[np.ndarray, np.ndarray, float, OptimReport]:
-    """Stage 1 (re-encode), then stage 2: the L-BFGS solve and the discrete
-    search, which starts from the better of the two grids. Returns both
-    stages' grids, the hard channel loss of the stage-2 grid and the
-    solve's report."""
+    """Stage 1 (re-encode: the solve's quantized start point), then stage 2:
+    the L-BFGS solve and the discrete search, which starts from the better
+    of the two grids. Returns both stages' grids, the hard channel loss of
+    the stage-2 grid and the solve's report."""
     cfg, tok = pipe.cfg, pipe.tokenizer
-    # Stage 1 comes before the solve on purpose: freeing quantize's large
-    # temporary raises glibc's malloc thresholds, so the solve's per-
-    # evaluation arrays reuse heap pages instead of faulting fresh ones.
-    grid1 = tok.quantize(tok.encode(received))
     grid, report = optimize_tokens(received, cfg.channel, tok, cfg.optim)
-    grid2, hard_loss = search_tokens(grid1, grid, received, cfg.channel, tok,
-                                     cfg.image_model, condition)
-    return grid1, grid2, hard_loss, report
+    grid2, hard_loss = search_tokens(report.start, grid, received,
+                                     cfg.channel, tok, cfg.image_model,
+                                     condition)
+    return report.start, grid2, hard_loss, report
 
 
 @dataclass

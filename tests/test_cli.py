@@ -171,6 +171,8 @@ class TestExitCodes:
         ("channel", "spec", "gaussian:inf"),
         # finite, but its noise field overflows
         ("channel", "spec", "gaussian:1e308,rescale:0.5"),
+        # finite, but the quantize after it overflows
+        ("channel", "spec", "gaussian:1e307,quantize:32,rescale:0.5"),
     ])
     def test_non_finite_setting_is_malformed(self, tmp_path, capsys, section,
                                              key, value):
@@ -178,11 +180,17 @@ class TestExitCodes:
         ini.write_text(f"[{section}]\n{key} = {value}\n")
         msg = tmp_path / "m.txt"
         msg.write_text("0101")
-        assert main(["embed", str(msg), "--config", str(ini),
-                     "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert not (tmp_path / "stego.vqi").exists()
+        image = tmp_path / "zeros.vqi"
+        write_image(image, np.zeros((96, 96, 3)))
+        for command, source, output in [("embed", msg, "stego.vqi"),
+                                        ("attack", image, "attacked.vqi"),
+                                        ("extract", image, "message.txt")]:
+            out = tmp_path / command
+            assert main([command, str(source), "--config", str(ini),
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not (out / output).exists()
 
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", "0.01"),

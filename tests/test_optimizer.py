@@ -226,19 +226,20 @@ def hard_loss_sq(grid, received, spec, tok):
     return float(np.sum((received - chan.apply(spec, tok.decode(grid))) ** 2))
 
 
-def whole_image_score_class(grid, rows, cols, candidates, received, spec,
-                            tokenizer, reach, period, a, b):
+def whole_image_score_class(grid, rows, cols, candidates, received, plan,
+                            tokenizer, period):
     """The tile losses from one whole-image hard channel pass per candidate
     column, each putting that column's tokens in every listed cell."""
     losses = np.empty(candidates.shape)
     trial = np.array(grid)
     for s in range(candidates.shape[1]):
         trial[rows, cols] = candidates[:, s]
-        out = chan.apply(spec, tokenizer.decode_continuous(
-            tokenizer.codebook.vectors[trial]))
+        out = np.clip(plan.run(tokenizer.decode_continuous(
+            tokenizer.codebook.vectors[trial])), -1.0, 1.0)
         sq = ((received - out) ** 2).sum(axis=2)
-        tiles = optimizer._tile_losses(sq, tokenizer.patch, reach, period,
-                                       a, b)
+        tiles = optimizer._tile_losses(sq, tokenizer.patch, plan.reach,
+                                       period, rows[0] % period,
+                                       cols[0] % period)
         losses[:, s] = tiles[rows // period, cols // period]
     return losses
 
@@ -253,7 +254,8 @@ class TestSearch:
         # every cell of a class changes at once in the batch; the reference
         # changes one cell and takes the change of the whole image's loss
         spec = parse_channel(spec_text, 3)
-        reach = chan.compile_channel(spec, tokenizer.image_shape).reach
+        plan = chan.compile_channel(spec, tokenizer.image_shape)
+        reach = plan.reach
         assert optimizer._period(tokenizer.patch, reach) == period
         true_grid, _, img = true_setup(tokenizer, 14)
         received = chan.apply(spec, img)
@@ -273,8 +275,8 @@ class TestSearch:
                 candidates[0, 0] = true_grid[rows[0], cols[0]]
                 candidates[1, 0] = grid[rows[1], cols[1]]
                 batch = optimizer._score_class(grid, rows, cols, candidates,
-                                               received, spec, tokenizer,
-                                               reach, period, a, b)
+                                               received, plan, tokenizer,
+                                               period)
                 tiles = optimizer._tile_losses(sq, tokenizer.patch, reach,
                                                period, a, b)
                 for c, (i, j) in enumerate(zip(rows, cols)):
@@ -294,7 +296,7 @@ class TestSearch:
     def test_windows_match_whole_image_passes(self, pipe, monkeypatch,
                                               spec_text):
         # a uniform random start scores nearly every cell, border cells
-        # included, so a class holds more cells than one batch of windows
+        # included, so a class scores more than one cell
         spec = parse_channel(spec_text, 11)
         tok, model = pipe.tokenizer, pipe.cfg.image_model
         _, _, img = true_setup(tok, 19)
@@ -316,10 +318,7 @@ class TestSearch:
         (found, hard_loss), (want, want_loss) = runs
         assert np.array_equal(found, want)
         assert hard_loss == want_loss
-        reach = chan.compile_channel(spec, received.shape).reach
-        size = optimizer._period(tok.patch, reach) * tok.patch + 2 * reach
-        window_bytes = 8 * (model.top_k + 1) * size * size * 3
-        assert max(sizes) * window_bytes > 2 * optimizer._CHUNK_BYTES
+        assert max(sizes) > 1
 
     def test_current_token_in_the_support_is_never_taken(self, pipe,
                                                          monkeypatch):

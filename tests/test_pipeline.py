@@ -8,10 +8,11 @@ from vqstego import channel as chan
 from vqstego.bits import BitString, KeyedStream, StegoKey
 from vqstego.config import default_config
 from vqstego.errors import CapacityExceeded, MalformedInput
-from vqstego.pipeline import (Pipeline, benchmark_run, derive_key,
+from vqstego.pipeline import (Pipeline, _stage2, benchmark_run, derive_key,
                               embed_message, extract_message, run_attack,
                               run_embed, run_extract, run_sweep,
                               sweep_variants, worker_count)
+from vqstego.vq import Tokenizer
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,29 @@ class TestEmbedExtract:
         assert out.final_loss > 0.0
         assert out.final_loss == pytest.approx(
             float(np.linalg.norm(received - sim)), rel=1e-12)
+
+
+class TestStage2:
+    def test_encodes_the_received_image_once(self, fast_cfg, key,
+                                             monkeypatch):
+        # the solve's quantized start point is the stage-1 grid
+        pipe = Pipeline.from_config(fast_cfg)
+        tok = pipe.tokenizer
+        embedded = embed_message(pipe, key, make_message(key))
+        received = chan.apply(chan.parse_channel("gaussian:0.05", 4),
+                              embedded.image)
+        want = tok.quantize(tok.encode(received))
+        encode, calls = Tokenizer.encode, []
+
+        def counted(self, image):
+            calls.append(image)
+            return encode(self, image)
+
+        monkeypatch.setattr(Tokenizer, "encode", counted)
+        grid1, _, _, report = _stage2(pipe, pipe.condition(key), received)
+        assert len(calls) == 1
+        assert np.array_equal(grid1, want)
+        assert report.start is grid1
 
 
 class TestBenchmarkRun:
