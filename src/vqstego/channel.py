@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -82,7 +83,8 @@ def parse_channel(text: str, noise_seed: int = 0) -> ChannelSpec:
                     raise ValueError
             elif name == "quantize":
                 stage = QuantizeStage(int(arg))
-                if stage.levels < 2:
+                # the stage computes with levels - 1 as a double
+                if not 2 <= stage.levels <= sys.float_info.max:
                     raise ValueError
             elif name == "rescale":
                 stage = RescaleStage(float(arg))
@@ -264,7 +266,9 @@ def _soft_clip(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     flat_y, flat_dy = y.ravel(order="K"), dy.ravel(order="K")
     absx = np.abs(flat_y)
     idx = np.flatnonzero(absx > 1.0 - m)
-    decay = np.exp(-(absx[idx] - (1.0 - m)) / m)
+    # far outside, the exponent overflows to -inf and decay is exactly 0
+    with np.errstate(over="ignore"):
+        decay = np.exp(-(absx[idx] - (1.0 - m)) / m)
     flat_y[idx] = np.sign(flat_y[idx]) * (1.0 - m * decay)
     flat_dy[idx] = decay
     return y, dy
@@ -398,7 +402,9 @@ def compile_channel(spec: ChannelSpec, shape: tuple) -> ChannelPlan:
     """The plan of `spec` for images of `shape`, cached per (spec, shape).
 
     A plan holds only constants that are pure functions of the public spec
-    (noise fields, quantize levels, rescale operators), all read-only.
+    (noise fields, quantize levels, rescale operators), all read-only. An
+    image too small to rescale and a spec whose values can overflow are
+    `MalformedInput`.
     """
     ops: list = []
     # At least the largest absolute value a stage's input can take, for
@@ -411,10 +417,10 @@ def compile_channel(spec: ChannelSpec, shape: tuple) -> ChannelPlan:
             if stage.sigma > 0.0:
                 with np.errstate(over="ignore"):
                     noise = stage.sigma * _noise_field(spec, index, shape)
-                if not np.isfinite(noise).all():
+                bound += float(np.abs(noise).max())
+                if not math.isfinite(bound):
                     raise MalformedInput(
                         f"channel stage {stage}: noise field overflows")
-                bound += float(np.abs(noise).max())
                 ops.append(_AddNoise(_read_only(noise)))
         elif isinstance(stage, QuantizeStage):
             # `_quantize_values` scales x + 1 by (levels - 1) / 2
@@ -425,6 +431,9 @@ def compile_channel(spec: ChannelSpec, shape: tuple) -> ChannelPlan:
             bound += 1.0 / (stage.levels - 1)
             ops.append(_Quantize(stage.levels))
         elif isinstance(stage, RescaleStage) and stage.factor != 1.0:
+            if min(round(n * stage.factor) for n in shape[:2]) < 1:
+                raise MalformedInput(f"channel stage {stage}: image of "
+                                     f"shape {shape} is too small")
             ah, aht = _rescale_banded(shape[0], stage.factor)
             aw, awt = _rescale_banded(shape[1], stage.factor)
             ops.append(_Rescale(ah, aw, aht, awt,

@@ -85,9 +85,15 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
     # before the solve: freeing quantize's large temporary raises glibc's
     # malloc thresholds, so the solve's arrays reuse heap pages
     start = tokenizer.quantize(z)
+    # the loss's norm sums in memory order, so `received` takes the smooth
+    # channel output's layout, (H, C, W) after a rescale: the C-order image
+    # a file read gives then runs the solve the channel's own output does
+    aligned = np.empty_like(
+        chan.apply_smooth(spec, tokenizer.decode_continuous(z)))
+    aligned[...] = received
+    received = aligned
     evals = 0
-    # equals the first evaluation, which is at z itself
-    best_value, best_z = loss(z, received, spec, tokenizer), z
+    best_value, best_z = np.inf, z
 
     def squared(x: np.ndarray) -> tuple[float, np.ndarray]:
         # scipy checks its own maxfun only between iterations, so a line

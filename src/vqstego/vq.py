@@ -19,7 +19,7 @@ from scipy.spatial.distance import pdist
 from .errors import (DegenerateCodebook, IndexOutOfRange, MalformedInput,
                      ShapeMismatch)
 
-_MAGIC = b"VQI1"
+_MAGIC = b"VQI2"
 _ATANH_EPS = 1e-6
 _CHANNELS = 3
 
@@ -179,12 +179,13 @@ def build_tokenizer(decoder_seed: int, codebook: Codebook, patch: int,
 
 
 def write_image(path, image: np.ndarray) -> None:
-    """Canonical flat binary format: 16-byte header + LE float32 row-major."""
+    """Canonical flat binary format: 16-byte header + LE float64 row-major,
+    so a file holds exactly the pixels the pipeline computed."""
     h, w, c = image.shape
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<III", h, w, c))
-        f.write(image.astype("<f4").tobytes())
+        f.write(image.astype("<f8").tobytes())
 
 
 def read_image(path) -> np.ndarray:
@@ -201,11 +202,13 @@ def _read_image(path) -> np.ndarray:
         if len(header) != 16 or header[:4] != _MAGIC:
             raise MalformedInput(f"{path}: not a {_MAGIC!r} image file")
         h, w, c = struct.unpack("<III", header[4:])
+        if 0 in (h, w, c):
+            raise MalformedInput(f"{path}: a {h}x{w}x{c} image has no pixels")
         body = f.read()
-    if len(body) != 4 * h * w * c:
+    if len(body) != 8 * h * w * c:
         raise MalformedInput(f"{path}: pixel data is {len(body)} bytes, "
-                             f"header says {4 * h * w * c}")
-    data = np.frombuffer(body, dtype="<f4")
+                             f"header says {8 * h * w * c}")
+    data = np.frombuffer(body, dtype="<f8")
     if not np.all(np.isfinite(data)):
         raise MalformedInput(f"{path}: non-finite pixel values")
     if np.abs(data).max(initial=0.0) > 1.0:

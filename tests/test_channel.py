@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqstego import channel as chan
 from vqstego.channel import (ChannelSpec, GaussianStage, QuantizeStage,
@@ -35,8 +37,10 @@ class TestParse:
         assert parse_channel("lossless").stages == ()
         assert str(ChannelSpec()) == "lossless"
 
-    @pytest.mark.parametrize("text", ["gaussian:-1", "quantize:1",
-                                      "rescale:0.3", "bogus:1", "gaussian:x"])
+    @pytest.mark.parametrize("text", [
+        "gaussian:-1", "quantize:1", "rescale:0.3", "bogus:1", "gaussian:x",
+        pytest.param("quantize:1" + "0" * 400, id="quantize:1e400"),
+        pytest.param(f"quantize:{2**1024}", id="quantize:2**1024")])
     def test_rejects_bad_stages(self, text):
         with pytest.raises(MalformedInput):
             parse_channel(text)
@@ -169,6 +173,19 @@ class TestSmoothSurrogate:
             assert np.array_equal(dy, want_dy)
             assert dy.strides == want_dy.strides
 
+    def test_soft_clip_far_outside_warns_nothing(self):
+        # pixels near 1e307 overflow the clip's exponent to -inf, which
+        # saturates them to exactly +-1; the suite turns warnings into errors
+        spec = parse_channel("gaussian:1e307,rescale:0.5", 3)
+        img = rand_image(4, shape=(12, 12, 3))
+        x = chan.compile_channel(spec, img.shape).run(img)
+        with np.errstate(over="ignore"):
+            want, _ = reference_soft_clip(x)
+        got = chan.apply_smooth(spec, img)
+        assert np.array_equal(got, want)
+        far = np.abs(x) > 1e300
+        assert far.any() and np.array_equal(got[far], np.sign(x[far]))
+
     def test_soft_clip_bounded_and_c1(self):
         x = np.linspace(-3, 3, 10001)
         y, dy = chan._soft_clip(x)
@@ -242,6 +259,59 @@ class TestPlan:
     def test_unit_rescale_adds_nothing(self):
         plan = chan.compile_channel(parse_channel("rescale:1"), self.SHAPE)
         assert plan.ops == () and plan.pullbacks == ()
+
+    @pytest.mark.parametrize("spec_text, shape", [
+        ("rescale:0.5", (0, 0, 3)), ("rescale:2", (0, 4, 3)),
+        ("rescale:0.5", (1, 1, 3)), ("rescale:0.5", (1, 6, 3)),
+    ])
+    def test_image_too_small_to_rescale_is_malformed(self, spec_text, shape):
+        # a side that the rescale would round to no pixels
+        with pytest.raises(MalformedInput, match="too small"):
+            chan.apply(parse_channel(spec_text), np.zeros(shape))
+
+    @pytest.mark.parametrize("spec_text, shape", [
+        ("rescale:0.5", (2, 2, 3)), ("rescale:2", (1, 1, 3)),
+    ])
+    def test_smallest_rescalable_images(self, spec_text, shape):
+        out = chan.apply(parse_channel(spec_text), np.full(shape, 0.5))
+        assert np.array_equal(out, np.full(shape, 0.5))
+
+    def test_noise_fields_summing_past_a_double_are_malformed(self):
+        # each field is finite, but their sum can overflow
+        spec = parse_channel("gaussian:1e307,gaussian:1e308,rescale:0.5")
+        with pytest.raises(MalformedInput, match="overflows"):
+            chan.compile_channel(spec, (8, 8, 3))
+
+
+# channel arguments at and past the edges of what a double holds
+_extreme_args = st.one_of(
+    st.integers(-3, 2**64), st.integers(2**1000, 2**1100),
+    st.floats(), st.floats(1e300, 1e308),
+    st.sampled_from(["1e308", "-1e308", "1e307", "1e-320", "nan", "-nan",
+                     "inf", "-inf", "0.5", "2", "-0"]),
+).map(str)
+
+
+class TestExtremeSpecs:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["gaussian", "quantize",
+                                               "rescale"]), _extreme_args),
+                    min_size=1, max_size=3),
+           st.integers(-2**63, 2**63 - 1))
+    def test_malformed_or_quiet(self, stages, noise_seed):
+        # a spec either is MalformedInput, or runs on a small image without
+        # a warning (the suite turns warnings into errors)
+        text = ",".join(f"{name}:{arg}" for name, arg in stages)
+        img = rand_image(noise_seed % 97, shape=(6, 6, 3))
+        try:
+            spec = parse_channel(text, noise_seed)
+            chan.compile_channel(spec, img.shape)
+        except MalformedInput:
+            return
+        hard = chan.apply(spec, img)
+        smooth = chan.apply_smooth(spec, img)
+        assert np.all(np.abs(hard) <= 1.0)
+        assert np.all(np.abs(smooth) <= 1.0)
 
 
 class TestWindows:

@@ -93,12 +93,43 @@ class TestExitCodes:
         assert main(["extract", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_odd_pixel_body_is_malformed(self, tmp_path, capsys):
-        # a 2-byte body cannot hold the 1x1x1 header's one float32
+        # a 4-byte body cannot hold the 1x1x1 header's one float64
         odd = tmp_path / "odd.vqi"
-        odd.write_bytes(b"VQI1" + struct.pack("<III", 1, 1, 1) + bytes(2))
+        odd.write_bytes(b"VQI2" + struct.pack("<III", 1, 1, 1) + bytes(4))
         assert main(["attack", str(odd), "--out", str(tmp_path / "d")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["attack", "extract"])
+    def test_float32_image_is_malformed(self, tmp_path, capsys, command):
+        # a well-formed file of the older lossy format has no reader
+        old = tmp_path / "old.vqi"
+        old.write_bytes(b"VQI1" + struct.pack("<III", 96, 96, 3)
+                        + np.zeros(96 * 96 * 3, "<f4").tobytes())
+        out = tmp_path / "d"
+        assert main([command, str(old), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("spec, shape", [
+        ("rescale:0.5", (0, 0, 3)),
+        ("gaussian:0.1", (0, 0, 3)),
+        ("rescale:0.5", (1, 1, 3)),
+    ])
+    def test_degenerate_image_attack_is_malformed(self, tmp_path, capsys,
+                                                  spec, shape):
+        # images with no pixels, or too small to rescale
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[channel]\nspec = {spec}\n")
+        image = tmp_path / "tiny.vqi"
+        write_image(image, np.zeros(shape))
+        out = tmp_path / "d"
+        assert main(["attack", str(image), "--config", str(ini),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (out / "attacked.vqi").exists()
 
     @pytest.mark.parametrize("case", ["nan", "out_of_range", "wrong_size"])
     def test_bad_image_is_malformed(self, tmp_path, capsys, case):
@@ -173,6 +204,8 @@ class TestExitCodes:
         ("channel", "spec", "gaussian:1e308,rescale:0.5"),
         # finite, but the quantize after it overflows
         ("channel", "spec", "gaussian:1e307,quantize:32,rescale:0.5"),
+        pytest.param("channel", "spec", "quantize:1" + "0" * 400,
+                     id="levels-past-the-largest-double"),
     ])
     def test_non_finite_setting_is_malformed(self, tmp_path, capsys, section,
                                              key, value):
@@ -191,6 +224,18 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
             assert not (out / output).exists()
+
+    def test_saturating_noise_warns_nothing(self, tmp_path, capsys):
+        # the sender's smooth simulation clips pixels near 1e307, where
+        # the soft clip's exponent overflows to -inf
+        ini = tmp_path / "huge.ini"
+        ini.write_text("[channel]\nspec = gaussian:1e307,rescale:0.5\n"
+                       "[optimizer]\nsteps = 5\n")
+        msg = tmp_path / "m.txt"
+        msg.write_text("0101")
+        assert main(["embed", str(msg), "--config", str(ini),
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", "0.01"),

@@ -5,12 +5,14 @@ import pytest
 
 from vqstego import channel as chan
 from vqstego import optimizer
-from vqstego.bits import StegoKey
+from vqstego.bits import KeyedStream, StegoKey
 from vqstego.channel import ChannelSpec, GaussianStage, parse_channel
 from vqstego.codec import sample_sequence
+from vqstego.config import default_config
 from vqstego.errors import NonFiniteLoss, ShapeMismatch
 from vqstego.optimizer import (OptimConfig, loss, loss_and_gradient,
                                optimize_tokens, search_tokens)
+from vqstego.pipeline import Pipeline, derive_key, embed_message
 from vqstego.token_model import Condition, condition_from_key
 from vqstego.vq import Codebook, build_codebook, build_tokenizer
 
@@ -174,6 +176,25 @@ class TestOptimize:
         assert np.array_equal(grid_a, grid_b)
         assert rep_a.steps_run == rep_b.steps_run
         assert values_a == values_b
+
+    def test_received_layout_changes_nothing(self):
+        # a rescale stage returns its image in (H, C, W) memory, a file
+        # read gives C order; the loss's norm sums in memory order, and on
+        # this message the two layouts took 217 and 239 evaluations apart
+        cfg = replace(default_config(), ecc_enabled=False,
+                      channel=parse_channel(
+                          "gaussian:0.01,quantize:32,rescale:0.5", 0))
+        pipe = Pipeline.from_config(cfg)
+        key = derive_key(cfg, 0)
+        message = KeyedStream(key.with_domain("test.message")).next_bits(128)
+        received = chan.apply(cfg.channel,
+                              embed_message(pipe, key, message).image)
+        assert not received.flags.c_contiguous
+        (grid_a, rep_a), (grid_b, rep_b) = (
+            optimize_tokens(r, cfg.channel, pipe.tokenizer, cfg.optim)
+            for r in (received, np.ascontiguousarray(received)))
+        assert np.array_equal(grid_a, grid_b)
+        assert rep_a.steps_run == rep_b.steps_run
 
     def test_golden_first_trace_values(self, tokenizer, monkeypatch):
         # Cross-platform determinism: values frozen from a pinned run.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vqstego import channel as chan
+from vqstego import pipeline
 from vqstego.bits import BitString, KeyedStream, StegoKey
 from vqstego.config import default_config
 from vqstego.errors import CapacityExceeded, MalformedInput
@@ -12,7 +13,7 @@ from vqstego.pipeline import (Pipeline, _stage2, benchmark_run, derive_key,
                               embed_message, extract_message, run_attack,
                               run_embed, run_extract, run_sweep,
                               sweep_variants, worker_count)
-from vqstego.vq import Tokenizer
+from vqstego.vq import Tokenizer, read_image
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +169,8 @@ class TestFileRuns:
         assert got == message
         assert info["recovered_exact"]
         assert info["r_q_stage2"] == 100.0
-        # only the float32 rounding of the .vqi pixels is left
-        assert 0.0 < info["final_loss"] < 1e-5
+        # the .vqi file holds the decoded pixels exactly
+        assert info["final_loss"] == 0.0
         assert info["cap"] == 150
 
     def test_embed_writes_text_when_ecc_enabled(self, tmp_path):
@@ -202,6 +203,42 @@ class TestFileRuns:
         assert info["l2_distortion"] == 0.0
         assert (tmp_path / "attacked.vqi").read_bytes() == \
             (tmp_path / "stego.vqi").read_bytes()
+
+    @pytest.mark.parametrize("spec_text, seed", [
+        ("gaussian:0.01,quantize:32,rescale:0.5", 0),
+        ("gaussian:0.01,quantize:32,rescale:0.5", 1),
+        ("rescale:0.5", 0),
+        ("rescale:0.5", 1),
+    ])
+    def test_files_run_the_in_memory_receiver(self, tmp_path, monkeypatch,
+                                              spec_text, seed):
+        # embed -> attack -> extract through .vqi files hands the receiver
+        # the pixels `chan.apply` computes, and it runs the same solve
+        cfg = replace(default_config(),
+                      channel=chan.parse_channel(spec_text, seed))
+        key = derive_key(cfg, seed)
+        message = make_message(key, 200)
+        pipe = Pipeline.from_config(cfg)
+        embedded = embed_message(pipe, key, message)
+        received = chan.apply(cfg.channel, embedded.image)
+        want = extract_message(pipe, key, received, embedded.text.tokens)
+
+        run_embed(cfg, message, tmp_path, key)
+        run_attack(cfg, tmp_path / "stego.vqi", tmp_path / "attacked.vqi")
+        assert np.array_equal(read_image(tmp_path / "attacked.vqi"),
+                              received)
+        seen = []
+        monkeypatch.setattr(pipeline, "extract_message",
+                            lambda *a: seen.append(extract_message(*a))
+                            or seen[-1])
+        got_message, info = run_extract(cfg, tmp_path / "attacked.vqi",
+                                        tmp_path / "stego_text.txt", key)
+        got, = seen
+        for stage in ("grid_stage1", "grid_stage2", "grid_stage3"):
+            assert np.array_equal(getattr(got, stage), getattr(want, stage))
+        assert got.opt_report.steps_run == want.opt_report.steps_run
+        assert got_message == want.message == message
+        assert info["final_loss"] == want.final_loss == 0.0
 
 
 class TestSweep:

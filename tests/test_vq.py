@@ -188,6 +188,25 @@ class TestQuantize:
                 assert d2[got[i, j]] == d2.min()
 
 
+@st.composite
+def vqi_files(draw):
+    """Bytes shaped like a .vqi file: a magic, a header and a body of
+    doubles, often of the size the header says, sometimes cut or padded."""
+    magic = draw(st.sampled_from([b"VQI2", b"VQI1"])
+                 | st.binary(min_size=4, max_size=4))
+    dims = draw(st.tuples(*[st.integers(0, 3)] * 3)
+                | st.tuples(*[st.integers(0, 2**32 - 1)] * 3))
+    count = int(np.prod(dims)) if max(dims) <= 3 else draw(st.integers(0, 9))
+    pixels = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=count,
+                                    max_size=count)), "<f8")
+    if count and draw(st.booleans()):
+        pixels[draw(st.integers(0, count - 1))] = draw(st.floats())
+    body = pixels.tobytes()
+    cut = draw(st.just(0) | st.integers(-9, 9))
+    body = body[:len(body) + cut] if cut < 0 else body + bytes(cut)
+    return magic + struct.pack("<III", *dims) + body
+
+
 class TestImageFiles:
     def test_round_trip(self, tmp_path, tokenizer):
         rng = np.random.Generator(np.random.PCG64(6))
@@ -195,8 +214,9 @@ class TestImageFiles:
         path = tmp_path / "x.vqi"
         write_image(path, img)
         back = read_image(path)
-        assert back.shape == img.shape
-        assert np.allclose(back, img, atol=1e-6)  # float32 storage
+        assert back.dtype == np.float64 and back.flags.writeable
+        assert np.array_equal(back, img)  # lossless float64 storage
+        assert path.stat().st_size == 16 + 8 * img.size
 
     def test_corrupted_header(self, tmp_path):
         path = tmp_path / "bad.vqi"
@@ -214,13 +234,46 @@ class TestImageFiles:
         with pytest.raises(MalformedInput):
             read_image(path)
 
-    @pytest.mark.parametrize("body", [2, 6, 8])
+    @pytest.mark.parametrize("body", [2, 6, 16])
     def test_body_not_the_header_size(self, tmp_path, body):
-        # 1x1x1 header: the body must be exactly one float32
+        # 1x1x1 header: the body must be exactly one float64
         path = tmp_path / "odd.vqi"
-        path.write_bytes(b"VQI1" + struct.pack("<III", 1, 1, 1) + bytes(body))
+        path.write_bytes(b"VQI2" + struct.pack("<III", 1, 1, 1) + bytes(body))
         with pytest.raises(MalformedInput):
             read_image(path)
+
+    @pytest.mark.parametrize("dims", [(0, 0, 3), (0, 2**30, 2**30),
+                                      (4, 4, 0)])
+    def test_image_without_pixels_is_malformed(self, tmp_path, dims):
+        path = tmp_path / "empty.vqi"
+        path.write_bytes(b"VQI2" + struct.pack("<III", *dims))
+        with pytest.raises(MalformedInput, match="no pixels"):
+            read_image(path)
+
+    def test_float32_format_is_malformed(self, tmp_path):
+        # a well-formed file of the older lossy format has no reader
+        path = tmp_path / "old.vqi"
+        path.write_bytes(b"VQI1" + struct.pack("<III", 1, 1, 1)
+                         + np.zeros(1, "<f4").tobytes())
+        with pytest.raises(MalformedInput, match="VQI2"):
+            read_image(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64) | vqi_files())
+    def test_fuzzed_file_reads_or_is_malformed(self, tmp_path_factory, data):
+        # any bytes: an (h, w, c) float64 image in [-1, 1] that writes back
+        # to the same bytes, or MalformedInput
+        path = tmp_path_factory.getbasetemp() / "fuzzed.vqi"
+        path.write_bytes(data)
+        try:
+            image = read_image(path)
+        except MalformedInput:
+            return
+        assert image.shape == struct.unpack("<III", data[4:16])
+        assert image.dtype == np.float64
+        assert np.all(np.abs(image) <= 1.0)
+        write_image(path, image)
+        assert path.read_bytes() == data
 
     def test_ppm_export(self, tmp_path):
         img = np.zeros((4, 6, 3))
