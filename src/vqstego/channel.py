@@ -7,7 +7,7 @@ receiver's lossy image exactly. `apply` is the hard channel; `apply_smooth`
 is the optimizer-facing surrogate: straight-through quantization and a soft
 clip that is identity on [-1+m, 1-m]. Both run a `ChannelPlan`, compiled
 once per (spec, image shape): the seeded noise fields are drawn once, and
-the rescale operators and their transposes are built once, in banded form.
+the rescale operators and their transposes are cut once into row blocks.
 `ChannelPlan.run_windows` runs the same stages on a batch of small windows
 of the image, for a caller that changes one patch at a time.
 """
@@ -126,12 +126,10 @@ def _interp_matrix(n_out: int, n_in: int) -> np.ndarray:
     return _read_only(m)
 
 
-@lru_cache(maxsize=64)
-def _rescale_matrices(n: int, factor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Down-then-up operator along one axis, returned as (forward, transpose)."""
+def _rescale_matrix(n: int, factor: float) -> np.ndarray:
+    """Down-then-up operator along one axis."""
     n_mid = int(round(n * factor))
-    a = _read_only(_interp_matrix(n, n_mid) @ _interp_matrix(n_mid, n))
-    return a, a.T
+    return _read_only(_interp_matrix(n, n_mid) @ _interp_matrix(n_mid, n))
 
 
 # Rows per block of a banded operator, chosen by measurement on 96-pixel
@@ -143,41 +141,29 @@ def _rescale_matrices(n: int, factor: float) -> tuple[np.ndarray, np.ndarray]:
 _BAND_BLOCK = 16
 
 
-@dataclass(frozen=True, eq=False)
-class _Banded:
-    """An n x n operator of half-bandwidth `band`, cut into row blocks.
-
-    Block r holds rows [r*bs, (r+1)*bs) over columns [r*bs - band,
-    (r+1)*bs + band), zero outside the matrix. Block r times the matching
-    window of an input zero-padded by `band` on both sides gives those rows
-    of the product; the last block may run past row n.
-    """
-
-    band: int
-    blocks: np.ndarray      # (n_blocks, bs, bs + 2*band), for A @ x
-    blocks_t: np.ndarray    # (n_blocks, bs + 2*band, bs), for x @ A.T
+def _row_blocks(a: np.ndarray, starts: np.ndarray, size: int,
+                band: int) -> np.ndarray:
+    """(len(starts), size, size + 2*band) blocks of square `a`: rows
+    [s, s + size) over columns [s - band, s + size + band) for each start
+    s, zero outside `a`."""
+    return crop_windows(a, starts - band, starts - band,
+                        size + 2 * band)[:, band:band + size]
 
 
-def _banded(a: np.ndarray) -> _Banded:
-    n = a.shape[0]
+def _bandwidth(a: np.ndarray) -> int:
     rows, cols = np.nonzero(a)
-    band = int(np.abs(rows - cols).max(initial=0))
-    bs = min(_BAND_BLOCK, n)
-    n_blocks = -(-n // bs)
-    full = np.zeros((n_blocks * bs, n_blocks * bs + 2 * band))
-    full[:n, band:band + n] = a
-    blocks = np.stack([full[r * bs:(r + 1) * bs,
-                            r * bs:(r + 1) * bs + 2 * band]
-                       for r in range(n_blocks)])
-    blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
-    return _Banded(band, _read_only(blocks), _read_only(blocks_t))
+    return int(np.abs(rows - cols).max(initial=0))
 
 
-@lru_cache(maxsize=64)
-def _rescale_banded(n: int, factor: float) -> tuple[_Banded, _Banded]:
-    """`_rescale_matrices` in banded form, as (forward, transpose)."""
-    a, at = _rescale_matrices(n, factor)
-    return _banded(a), _banded(at)
+def _image_blocks(a: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """`a` cut into `_BAND_BLOCK`-row blocks over its own bandwidth, for
+    `_apply_banded`; the last block may run past row n. Stored C-contiguous
+    and read-only, each block transposed if `transposed`."""
+    bs = min(_BAND_BLOCK, len(a))
+    blocks = _row_blocks(a, np.arange(0, len(a), bs), bs, _bandwidth(a))
+    if transposed:
+        blocks = blocks.transpose(0, 2, 1)
+    return _read_only(np.ascontiguousarray(blocks))
 
 
 def _windows(a: np.ndarray, axis: int, count: int, step: int,
@@ -189,8 +175,10 @@ def _windows(a: np.ndarray, axis: int, count: int, step: int,
                       strides=(step * a.strides[axis], *a.strides))
 
 
-def _apply_banded(ah: _Banded, aw: _Banded, x: np.ndarray) -> np.ndarray:
-    """out[i,l,c] = ah[i,j] x[j,k,c] aw[l,k], in (H, C, W) memory.
+def _apply_banded(bh: np.ndarray, bw: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """out[i,l,c] = ah[i,j] x[j,k,c] aw[l,k], in (H, C, W) memory, from
+    bh = `_image_blocks(ah)` and bw = `_image_blocks(aw, transposed=True)`.
 
     H is contracted first, then W, each as one batched matmul over windows
     of a zero-padded (H, C, W) copy. The H pass multiplies the same W*C
@@ -199,17 +187,19 @@ def _apply_banded(ah: _Banded, aw: _Banded, x: np.ndarray) -> np.ndarray:
     summation order of any norm taken over it.
     """
     h, w, c = x.shape
-    n_blocks, bs, k = ah.blocks.shape
-    pad = np.zeros((n_blocks * bs + 2 * ah.band, c, w))
-    pad[ah.band:ah.band + h] = x.transpose(0, 2, 1)
-    y = ah.blocks @ _windows(pad.reshape(len(pad), -1), 0, n_blocks, bs, k)
+    n_blocks, bs, k = bh.shape
+    band = (k - bs) // 2
+    pad = np.zeros((n_blocks * bs + 2 * band, c, w))
+    pad[band:band + h] = x.transpose(0, 2, 1)
+    y = bh @ _windows(pad.reshape(len(pad), -1), 0, n_blocks, bs, k)
 
-    n_blocks, k, bs = aw.blocks_t.shape
-    pad = np.zeros((h, c, n_blocks * bs + 2 * aw.band))
-    pad[:, :, aw.band:aw.band + w] = y.reshape(-1, c, w)[:h]
+    n_blocks, k, bs = bw.shape
+    band = (k - bs) // 2
+    pad = np.zeros((h, c, n_blocks * bs + 2 * band))
+    pad[:, :, band:band + w] = y.reshape(-1, c, w)[:h]
     pad = pad.reshape(h * c, -1)
     out = np.empty((h * c, n_blocks * bs))
-    np.matmul(_windows(pad, 1, n_blocks, bs, k), aw.blocks_t,
+    np.matmul(_windows(pad, 1, n_blocks, bs, k), bw,
               out=_windows(out, 1, n_blocks, bs, bs))
     out = out.reshape(h, c, -1)
     if out.shape[2] != w:
@@ -307,22 +297,24 @@ class _Quantize:
 
 @dataclass(frozen=True, eq=False)
 class _Rescale:
-    ah: _Banded
-    aw: _Banded
-    aht: _Banded
-    awt: _Banded
-    dense_h: np.ndarray     # the forward operators, for window blocks
-    dense_w: np.ndarray
+    """x -> dense_h @ x @ dense_w.T per colour. `forward` and `pullback`
+    run it and its transpose on the whole image from `_image_blocks` of the
+    operators; `forward_windows` cuts each window's block from the dense
+    operators with the same `_row_blocks`."""
 
-    @property
-    def band(self) -> int:
-        return max(self.ah.band, self.aw.band)
+    dense_h: np.ndarray
+    dense_w: np.ndarray
+    band: int               # the larger half-bandwidth of the two
+    forward_h: np.ndarray
+    forward_w: np.ndarray
+    pullback_h: np.ndarray
+    pullback_w: np.ndarray
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return _apply_banded(self.ah, self.aw, x)
+        return _apply_banded(self.forward_h, self.forward_w, x)
 
     def pullback(self, g: np.ndarray) -> np.ndarray:
-        return _apply_banded(self.aht, self.awt, g)
+        return _apply_banded(self.pullback_h, self.pullback_w, g)
 
     def forward_windows(self, x: np.ndarray, top: np.ndarray,
                         left: np.ndarray) -> np.ndarray:
@@ -339,13 +331,22 @@ class _Rescale:
         out = s - 2 * b
         # the operator block that maps input [start, start + s) to output
         # [start + b, start + s - b), zero outside the image
-        bh = crop_windows(self.dense_h, top, top, s)[:, b:s - b]
-        bw = crop_windows(self.dense_w, left, left, s)[:, b:s - b]
+        bh = _row_blocks(self.dense_h, top + b, out, b)
+        bw = _row_blocks(self.dense_w, left + b, out, b)
         y = x.transpose(0, 1, 3, 4, 2).reshape(n, k * s * c, s)
         y = (y @ bh.transpose(0, 2, 1)).reshape(n, k, s, c, out)
         y = y.transpose(0, 1, 4, 3, 2).reshape(n, k * out * c, s)
         y = (y @ bw.transpose(0, 2, 1)).reshape(n, k, out, c, out)
         return y.transpose(0, 1, 2, 4, 3)
+
+
+@lru_cache(maxsize=64)
+def _rescale(h: int, w: int, factor: float) -> _Rescale:
+    """The rescale stage for h x w images; read-only, so plans share it."""
+    ah, aw = _rescale_matrix(h, factor), _rescale_matrix(w, factor)
+    return _Rescale(ah, aw, max(_bandwidth(ah), _bandwidth(aw)),
+                    _image_blocks(ah), _image_blocks(aw, True),
+                    _image_blocks(ah.T), _image_blocks(aw.T, True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,7 +418,7 @@ def compile_channel(spec: ChannelSpec, shape: tuple) -> ChannelPlan:
             if stage.sigma > 0.0:
                 with np.errstate(over="ignore"):
                     noise = stage.sigma * _noise_field(spec, index, shape)
-                bound += float(np.abs(noise).max())
+                bound += float(np.abs(noise).max(initial=0.0))
                 if not math.isfinite(bound):
                     raise MalformedInput(
                         f"channel stage {stage}: noise field overflows")
@@ -434,11 +435,7 @@ def compile_channel(spec: ChannelSpec, shape: tuple) -> ChannelPlan:
             if min(round(n * stage.factor) for n in shape[:2]) < 1:
                 raise MalformedInput(f"channel stage {stage}: image of "
                                      f"shape {shape} is too small")
-            ah, aht = _rescale_banded(shape[0], stage.factor)
-            aw, awt = _rescale_banded(shape[1], stage.factor)
-            ops.append(_Rescale(ah, aw, aht, awt,
-                                _rescale_matrices(shape[0], stage.factor)[0],
-                                _rescale_matrices(shape[1], stage.factor)[0]))
+            ops.append(_rescale(shape[0], shape[1], stage.factor))
     pullbacks = tuple(op for op in reversed(ops) if isinstance(op, _Rescale))
     return ChannelPlan(tuple(ops), pullbacks)
 

@@ -150,18 +150,11 @@ def _squared_residual(grid: np.ndarray, received: np.ndarray,
     return _colour_sum((received - out) ** 2)
 
 
-def _tile_losses(sq: np.ndarray, patch: int, reach: int, period: int,
-                 a: int, b: int) -> np.ndarray:
-    """`sq` summed over the tile of every cell of class (a, b), as a
-    (rows, cols) array for the cells (a + period*m, b + period*n)."""
-    t = period * patch
-    h, w = sq.shape
-    rows = len(range(a, h // patch, period))
-    cols = len(range(b, w // patch, period))
-    pad = np.zeros((h + reach + t, w + reach + t))
-    pad[reach:reach + h, reach:reach + w] = sq
-    block = pad[a * patch:a * patch + rows * t, b * patch:b * patch + cols * t]
-    return block.reshape(rows, t, cols, t).sum(axis=(1, 3))
+def _tile_sums(sq: np.ndarray) -> np.ndarray:
+    """Each t x t tile of an (n, k, t, t) batch summed, as (n, k): the
+    search's one tile sum, for its zero test on the whole image and for
+    every candidate's score on a window."""
+    return np.ascontiguousarray(sq.transpose(0, 2, 1, 3)).sum(axis=(1, 3))
 
 
 def _score_class(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -197,11 +190,7 @@ def _score_class(grid: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         np.clip(out, -1.0, 1.0, out=out)
         np.subtract(target[part, None], out, out=out)
         out *= inside[part, None]
-        sq = _colour_sum(np.square(out, out=out))
-        # summed in `_tile_losses`' layout and order: equal pixels give
-        # equal tile losses, to the bit
-        losses[part] = np.ascontiguousarray(
-            sq.transpose(0, 2, 1, 3)).sum(axis=(1, 3))
+        losses[part] = _tile_sums(_colour_sum(np.square(out, out=out)))
     return losses
 
 
@@ -232,17 +221,23 @@ def search_tokens(reencoded: np.ndarray, optimized: np.ndarray,
     patch = tokenizer.patch
     plan = chan.compile_channel(spec, received.shape)
     period = _period(patch, plan.reach)
+    t = period * patch
     flat = grid.ravel()
     changed = True
     while changed:
         changed = False
         for a in range(period):
             for b in range(period):
-                tiles = _tile_losses(sq, patch, plan.reach, period, a, b)
-                m, n = np.nonzero(tiles)
+                rows, cols = np.mgrid[a:grid.shape[0]:period,
+                                      b:grid.shape[1]:period]
+                tiles = chan.crop_windows(
+                    sq, rows.ravel() * patch - plan.reach,
+                    cols.ravel() * patch - plan.reach, t)
+                m, n = np.nonzero(
+                    _tile_sums(tiles.reshape(*rows.shape, t, t)))
                 if len(m) == 0:
                     continue
-                rows, cols = a + period * m, b + period * n
+                rows, cols = rows[m, n], cols[m, n]
                 supports = np.array([
                     next_distribution(model, condition,
                                       context_before(flat, pos, model),

@@ -40,12 +40,20 @@ class ModelSpec:
     def __post_init__(self):
         if not (1 <= self.top_k <= self.vocab_size):
             raise ValueError("require 1 <= top_k <= vocab_size")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        # logits are standard normal draws, below 13 in magnitude from
+        # numpy's ziggurat, so logits / temperature and their spread stay
+        # far from overflow
+        if not self.temperature >= 1e-300:
+            raise ValueError("temperature must be >= 1e-300")
         if self.context_order < 0:
             raise ValueError("context_order must be >= 0")
-        if self.num_conditions < 1:
-            raise ValueError("num_conditions must be >= 1")
+        # `_logits` hashes the seed and a condition id as signed 64-bit
+        # integers
+        if not -2**63 <= self.seed < 2**63:
+            raise ValueError(f"seed {self.seed} is outside the signed 64-bit "
+                             f"range")
+        if not 1 <= self.num_conditions <= 2**63:
+            raise ValueError("require 1 <= num_conditions <= 2**63")
 
 
 class Distribution:

@@ -100,7 +100,9 @@ class Tokenizer:
         if latents.shape != (h, w, self.codebook.dim):
             raise ShapeMismatch(f"latents {latents.shape}")
         pre = latents.reshape(h * w, -1) @ self.weight.T + self.bias
-        x = np.tanh(self.alpha * pre)
+        # tanh saturates to +-1 long before alpha * pre overflows to +-inf
+        with np.errstate(over="ignore"):
+            x = np.tanh(self.alpha * pre)
         image = (x.reshape(h, w, p, p, _CHANNELS)
                   .transpose(0, 2, 1, 3, 4)
                   .reshape(h * p, w * p, _CHANNELS))
@@ -112,7 +114,8 @@ class Tokenizer:
         use: the rows `decode_continuous` computes for codebook vectors."""
         table = self.codebook.vectors @ self.weight.T
         table += self.bias
-        table *= self.alpha
+        with np.errstate(over="ignore"):
+            table *= self.alpha
         np.tanh(table, out=table)
         table.flags.writeable = False
         return table.reshape(-1, self.patch, self.patch, _CHANNELS)
@@ -171,10 +174,20 @@ def build_tokenizer(decoder_seed: int, codebook: Codebook, patch: int,
                     weight_scale: float, bias_scale: float = 0.0) -> Tokenizer:
     rng = np.random.Generator(np.random.PCG64(decoder_seed))
     out_dim = patch * patch * _CHANNELS
-    weight = rng.standard_normal((out_dim, codebook.dim)) * weight_scale
-    bias = rng.standard_normal(out_dim) * bias_scale
+    with np.errstate(over="ignore"):
+        weight = rng.standard_normal((out_dim, codebook.dim)) * weight_scale
+        bias = rng.standard_normal(out_dim) * bias_scale
+    if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+        raise MalformedInput(f"decoder weight_scale {weight_scale:g} or "
+                             f"bias_scale {bias_scale:g} overflows")
+    # a weight_scale near the smallest double has no finite pseudo-inverse
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight_pinv = np.linalg.pinv(weight)
+    if not np.isfinite(weight_pinv).all():
+        raise MalformedInput(f"decoder weight_scale {weight_scale:g} has no "
+                             f"finite encoder")
     return Tokenizer(codebook=codebook, weight=weight, bias=bias,
-                     weight_pinv=np.linalg.pinv(weight), alpha=alpha,
+                     weight_pinv=weight_pinv, alpha=alpha,
                      patch=patch, grid_h=grid_h, grid_w=grid_w)
 
 

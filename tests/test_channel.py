@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,8 +130,8 @@ class TestApply:
         q = chan.apply(ChannelSpec((QuantizeStage(16),)), img)
         assert np.linalg.norm(q - img) <= np.sqrt(n) / (16 - 1)
         r = chan.apply(ChannelSpec((RescaleStage(0.5),)), img)
-        ah, _ = chan._rescale_matrices(img.shape[0], 0.5)
-        aw, _ = chan._rescale_matrices(img.shape[1], 0.5)
+        ah = chan._rescale_matrix(img.shape[0], 0.5)
+        aw = chan._rescale_matrix(img.shape[1], 0.5)
         bound = (np.linalg.norm(ah, 2) * np.linalg.norm(aw, 2) + 1.0)
         assert np.linalg.norm(r - img) <= bound * np.linalg.norm(img)
 
@@ -160,8 +162,9 @@ class TestSmoothSurrogate:
     def test_soft_clip_matches_full_formula(self, scale, inside):
         # the reference evaluates exp over every pixel; the values and the
         # memory layout (which fixes a norm's summation order) must agree
-        ah, _ = chan._rescale_banded(96, 0.5)
-        x = chan._apply_banded(ah, ah, rand_image(12, scale=scale))
+        rescale, = chan.compile_channel(parse_channel("rescale:0.5"),
+                                        (96, 96, 3)).ops
+        x = rescale.forward(rand_image(12, scale=scale))
         assert not x.flags.c_contiguous
         y, dy = chan._soft_clip(x)
         want_y, want_dy = reference_soft_clip(x)
@@ -234,9 +237,10 @@ class TestPlan:
         plan = chan.compile_channel(parse_channel(self.SPEC, 3), self.SHAPE)
         noise, _, rescale = plan.ops
         assert plan.pullbacks == (rescale,)
-        operators = (rescale.ah, rescale.aw, rescale.aht, rescale.awt)
-        for a in (noise.noise, *(a for op in operators
-                                 for a in (op.blocks, op.blocks_t))):
+        arrays = [getattr(rescale, f.name) for f in fields(rescale)
+                  if f.name != "band"]
+        assert len(arrays) == 6
+        for a in (noise.noise, *arrays):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             noise.noise[0, 0, 0] = 0.0
@@ -275,6 +279,17 @@ class TestPlan:
     def test_smallest_rescalable_images(self, spec_text, shape):
         out = chan.apply(parse_channel(spec_text), np.full(shape, 0.5))
         assert np.array_equal(out, np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("spec_text", ["gaussian:0.1",
+                                           "gaussian:0.1,quantize:16"])
+    @pytest.mark.parametrize("shape", [(0, 0, 3), (0, 5, 3)])
+    def test_image_with_no_pixels_passes_without_rescale(self, spec_text,
+                                                         shape):
+        # as it passes a quantize stage or none
+        spec = parse_channel(spec_text, 2)
+        for out in (chan.apply(spec, np.zeros(shape)),
+                    chan.apply_smooth(spec, np.zeros(shape))):
+            assert out.shape == shape
 
     def test_noise_fields_summing_past_a_double_are_malformed(self):
         # each field is finite, but their sum can overflow
@@ -365,12 +380,14 @@ class TestBanded:
         x = rand_image(13, scale=1.0, shape=(h, w, 3))
         if layout == "hcw":
             x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
-        pick = 1 if transpose else 0
-        ah = chan._rescale_matrices(h, factor)[pick]
-        aw = chan._rescale_matrices(w, factor)[pick]
-        bh = chan._rescale_banded(h, factor)[pick]
-        bw = chan._rescale_banded(w, factor)[pick]
-        got = chan._apply_banded(bh, bw, x)
+        rescale, = chan.compile_channel(ChannelSpec((RescaleStage(factor),)),
+                                        (h, w, 3)).ops
+        ah = chan._rescale_matrix(h, factor)
+        aw = chan._rescale_matrix(w, factor)
+        if transpose:
+            got, ah, aw = rescale.pullback(x), ah.T, aw.T
+        else:
+            got = rescale.forward(x)
         want = np.einsum("ij,jkc,lk->ilc", ah, x, aw)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-15
@@ -379,8 +396,11 @@ class TestBanded:
 
     @pytest.mark.parametrize("factor, band", [(0.5, 2), (2.0, 1)])
     def test_bandwidth(self, factor, band):
-        forward, transpose = chan._rescale_banded(96, factor)
-        assert forward.band == transpose.band == band
-        assert forward.blocks.shape == (96 // chan._BAND_BLOCK,
-                                        chan._BAND_BLOCK,
-                                        chan._BAND_BLOCK + 2 * band)
+        rescale, = chan.compile_channel(ChannelSpec((RescaleStage(factor),)),
+                                        (96, 96, 3)).ops
+        assert rescale.band == band
+        bs, n_blocks = chan._BAND_BLOCK, 96 // chan._BAND_BLOCK
+        for blocks in (rescale.forward_h, rescale.pullback_h):
+            assert blocks.shape == (n_blocks, bs, bs + 2 * band)
+        for blocks in (rescale.forward_w, rescale.pullback_w):
+            assert blocks.shape == (n_blocks, bs + 2 * band, bs)

@@ -1,13 +1,20 @@
+import io
 import json
 import struct
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vqstego import cli
 from vqstego.cli import main
 from vqstego.config import default_config, dumps, loads
+from vqstego.text_channel import word_list
 from vqstego.vq import write_image
 
 
@@ -390,3 +397,79 @@ class TestSecuritySmoke:
         assert report["n_samples"] == 30
         assert 0.0 <= report["pooled_p"] <= 1.0
         assert "combined_p" in report
+
+
+# numbers at and past the edges of a signed 64-bit integer and a double
+_extreme_numbers = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.integers(10**18, 10**30).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from(["1e308", "-1e308", "1e-320", "-1e-320", "5e-324", "0",
+                     "-0", "1e300", "1e-300"]),
+).map(str)
+
+_FUZZED_KEYS = [(section, key)
+                for section in ("image_model", "text_model")
+                for key in ("seed", "num_conditions", "temperature")] + [
+    ("vq", "weight_scale"), ("vq", "bias_scale"), ("vq", "alpha")]
+
+
+def quiet_main(argv) -> None:
+    """`main(argv)`, asserting that it exits 0, 1 or 2 with no traceback
+    and no warning on stderr (the suite also turns warnings into errors)."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert "Warning" not in err.getvalue()
+
+
+class TestFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_FUZZED_KEYS), _extreme_numbers,
+                           min_size=1, max_size=3))
+    @example({("image_model", "seed"): str(10**26)})
+    @example({("text_model", "seed"): str(-10**22)})
+    @example({("image_model", "num_conditions"): str(10**23)})
+    @example({("vq", "weight_scale"): "1e308"})
+    @example({("vq", "bias_scale"): "1e308"})
+    @example({("vq", "alpha"): "1e308"})
+    @example({("vq", "alpha"): "-1e308"})
+    @example({("image_model", "temperature"): "1e-320"})
+    def test_config_values(self, values):
+        sections: dict[str, list[str]] = {"ecc": ["enabled = false"]}
+        for (section, key), value in values.items():
+            sections.setdefault(section, []).append(f"{key} = {value}")
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = Path(tmp) / "c.ini"
+            ini.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                                   for section, lines in sections.items()))
+            msg = Path(tmp) / "m.txt"
+            msg.write_text("0101")
+            quiet_main(["embed", str(msg), "--config", str(ini),
+                        "--out", str(Path(tmp) / "o")])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(st.binary(max_size=120),
+                     st.text(alphabet="01 \n\t", max_size=1200)
+                     .map(str.encode)))
+    def test_message_files(self, fast_ini, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            msg = Path(tmp) / "m.txt"
+            msg.write_bytes(data)
+            quiet_main(["embed", str(msg), "--config", fast_ini,
+                        "--out", str(Path(tmp) / "o")])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(word_list()), max_size=60).map(" ".join),
+        st.text(max_size=60)).map(lambda t: t.encode("utf-8", "replace"))
+        | st.binary(max_size=60))
+    def test_extract_word_files(self, fast_ini, stego_dir, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            words = Path(tmp) / "words.txt"
+            words.write_bytes(data)
+            quiet_main(["extract", str(stego_dir / "stego.vqi"),
+                        "--text", str(words), "--config", fast_ini,
+                        "--out", tmp])

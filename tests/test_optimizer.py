@@ -247,22 +247,40 @@ def hard_loss_sq(grid, received, spec, tok):
     return float(np.sum((received - chan.apply(spec, tok.decode(grid))) ** 2))
 
 
+def tile_crops(sq, rows, cols, patch, reach, period):
+    """The tiles of cells (rows[i], cols[i]) cut from the whole-image
+    residual `sq`."""
+    return chan.crop_windows(sq, rows * patch - reach, cols * patch - reach,
+                             period * patch)
+
+
+def class_tiles(sq, patch, reach, period, a, b):
+    """The tile losses of class (a, b) as the search sums them, a
+    (rows, cols) array for the cells (a + period*m, b + period*n)."""
+    rows, cols = np.mgrid[a:sq.shape[0] // patch:period,
+                          b:sq.shape[1] // patch:period]
+    t = period * patch
+    tiles = tile_crops(sq, rows.ravel(), cols.ravel(), patch, reach, period)
+    return optimizer._tile_sums(tiles.reshape(*rows.shape, t, t))
+
+
 def whole_image_score_class(grid, rows, cols, candidates, received, plan,
                             tokenizer, period):
     """The tile losses from one whole-image hard channel pass per candidate
     column, each putting that column's tokens in every listed cell."""
-    losses = np.empty(candidates.shape)
+    crops = []
     trial = np.array(grid)
     for s in range(candidates.shape[1]):
         trial[rows, cols] = candidates[:, s]
         out = np.clip(plan.run(tokenizer.decode_continuous(
             tokenizer.codebook.vectors[trial])), -1.0, 1.0)
         sq = ((received - out) ** 2).sum(axis=2)
-        tiles = optimizer._tile_losses(sq, tokenizer.patch, plan.reach,
-                                       period, rows[0] % period,
-                                       cols[0] % period)
-        losses[:, s] = tiles[rows // period, cols // period]
-    return losses
+        crops.append(tile_crops(sq, rows, cols, tokenizer.patch, plan.reach,
+                                period))
+    # summed in the scorer's (cell, candidate) layout, one cell at a time
+    crops = np.stack(crops, axis=1)
+    return np.concatenate([optimizer._tile_sums(crops[c:c + 1])
+                           for c in range(len(rows))])
 
 
 class TestSearch:
@@ -298,8 +316,8 @@ class TestSearch:
                 batch = optimizer._score_class(grid, rows, cols, candidates,
                                                received, plan, tokenizer,
                                                period)
-                tiles = optimizer._tile_losses(sq, tokenizer.patch, reach,
-                                               period, a, b)
+                tiles = class_tiles(sq, tokenizer.patch, reach, period, a,
+                                    b)
                 for c, (i, j) in enumerate(zip(rows, cols)):
                     for s, token in enumerate(candidates[c]):
                         one = grid.copy()
@@ -424,8 +442,8 @@ class TestSearch:
         assert all(b <= a for a, b in zip(losses, losses[1:]))
         for (grid, rows, cols), after in zip(calls, grids[1:]):
             sq = optimizer._squared_residual(grid, received, spec, tok)
-            tiles = optimizer._tile_losses(sq, tok.patch, reach, period,
-                                           rows[0] % period, cols[0] % period)
+            tiles = class_tiles(sq, tok.patch, reach, period,
+                                rows[0] % period, cols[0] % period)
             scored = np.zeros(tiles.shape, dtype=bool)
             scored[rows // period, cols // period] = True
             # exactly the cells with a nonzero tile are scored ...

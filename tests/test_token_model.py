@@ -61,6 +61,26 @@ class TestNextDistribution:
         d = next_distribution(spec, COND, [], 0)
         assert d.probs.max() / d.probs.min() < 1.01
 
+    @pytest.mark.parametrize("seed, num_conditions, temperature", [
+        (-2**63, 2**63, 1e-300), (2**63 - 1, 1, 1e300)])
+    def test_extreme_settings_compute_quietly(self, seed, num_conditions,
+                                              temperature):
+        # the seed and the largest condition id hash as signed 64-bit
+        # integers; the suite turns a numpy warning into an error
+        spec = ModelSpec(vocab_size=64, top_k=16, temperature=temperature,
+                         seed=seed, num_conditions=num_conditions)
+        d = next_distribution(spec, Condition(num_conditions - 1), [1, 2],
+                              4)
+        assert len(d) == 16 and d.cum[-1] == 1.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2**63), ("seed", -2**63 - 1), ("num_conditions", 2**63 + 1),
+        ("num_conditions", 0), ("temperature", 9.9e-301),
+        ("temperature", 0.0), ("temperature", float("nan"))])
+    def test_settings_the_model_cannot_compute_with(self, field, value):
+        with pytest.raises(ValueError):
+            ModelSpec(vocab_size=64, top_k=16, **{field: value})
+
     def test_prefix_token_out_of_range(self):
         with pytest.raises(TokenOutOfRange):
             next_distribution(SPEC, COND, [64], 1)

@@ -92,6 +92,27 @@ class TestDecodeEncode:
         img = tok.decode_continuous(np.zeros((4, 4, 8)))
         assert np.all(img == 0.0)  # tanh(0) = 0
 
+    @pytest.mark.parametrize("weight_scale, bias_scale", [
+        (1e308, 0.0), (0.3, 1e308), (1e-320, 0.0), (-1e-310, 2.1)])
+    def test_decoder_that_overflows_is_malformed(self, weight_scale,
+                                                 bias_scale):
+        # weights or bias past the largest double, or weights so small
+        # that the encoder's pseudo-inverse passes it
+        with pytest.raises(MalformedInput):
+            small_tokenizer(bias_scale=bias_scale, weight_scale=weight_scale)
+
+    @pytest.mark.parametrize("alpha", [1e308, -1e308])
+    def test_huge_alpha_saturates_quietly(self, alpha):
+        # alpha * pre overflows to +-inf, where tanh is +-1 as it is for
+        # any product above 20; the suite turns a warning into an error
+        tok = small_tokenizer(bias_scale=2.1, alpha=alpha)
+        unit = small_tokenizer(bias_scale=2.1, alpha=1.0)
+        grid = np.arange(16).reshape(4, 4)
+        vectors = tok.codebook.vectors[grid]
+        want = np.sign(alpha) * np.sign(unit.decode_continuous(vectors))
+        assert np.array_equal(tok.decode(grid), want)
+        assert np.array_equal(tok.decode_continuous(vectors), want)
+
     def test_index_out_of_range(self, tokenizer):
         with pytest.raises(IndexOutOfRange):
             tokenizer.decode(np.full((24, 24), 256))
