@@ -398,7 +398,9 @@ class ChannelPlan:
         return _soft_clip(x if self.ops else x.copy(order="K"))
 
 
-@lru_cache(maxsize=16)
+# a run needs one plan, which the sender's simulation, the channel and the
+# receiver share; each plan owns its noise fields, so keep few
+@lru_cache(maxsize=2)
 def compile_channel(spec: ChannelSpec, shape: tuple) -> ChannelPlan:
     """The plan of `spec` for images of `shape`, cached per (spec, shape).
 

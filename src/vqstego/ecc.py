@@ -7,13 +7,14 @@ Wire format (big-endian bit order, documented as the external interface):
                         previous corrected position), lambda2-bit rank
 
 with L = floor(log2(h*w)). Records are ordered by position ascending
-(predecessor priority); encoding stops entirely at the first relative
-coordinate or rank that does not fit, or when the bit budget runs out. The
-rank of the true token is its index among the step's top-k candidates
-sorted by codebook-vector distance to the wrong token's vector (vector
-proximity), ties by token id; both sides recompute the ordering against the
-progressively corrected prefix, so the decoder replays the encoder's walk
-exactly.
+(predecessor priority). The rank of the true token is its index among the
+step's top-k candidates sorted by codebook-vector distance to the wrong
+token's vector (vector proximity), ties by token id; both sides recompute
+the ordering against the progressively corrected prefix, so the decoder
+replays the encoder's walk exactly. Encoding stops entirely at the first
+error whose coordinate does not fit its head, whose true token is not a
+candidate, whose rank does not fit lambda2 bits, or whose record does not
+fit the bit budget.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from .bits import BitString
 from .errors import MalformedEcc, RankOverflow, ShapeMismatch
-from .token_model import (Condition, ModelSpec, context_before,
-                          next_distribution)
+from .token_model import (Condition, Distribution, ModelSpec,
+                          context_before, next_distribution)
 from .vq import Codebook
 
 
@@ -75,11 +76,16 @@ def diff_tokens(true_grid: np.ndarray,
     return [(int(i), int(t[i])) for i in np.nonzero(t != r)[0]]
 
 
-def _proximity_order(candidates: np.ndarray, wrong_token: int,
-                     book: Codebook) -> np.ndarray:
-    z_e = book.vectors[wrong_token]
-    dist = np.linalg.norm(book.vectors[candidates] - z_e, axis=1)
-    return candidates[np.lexsort((candidates, dist))]
+def _candidates(position: int, wrong_token: int, corrected_prefix,
+                model: ModelSpec, condition: Condition,
+                book: Codebook) -> tuple[np.ndarray, Distribution]:
+    """The step's top-k support after the corrected prefix, nearest first to
+    the wrong token's vector (ties by token id), and the step's
+    distribution."""
+    dist = next_distribution(model, condition, corrected_prefix, position)
+    ids = dist.token_ids
+    gap = np.linalg.norm(book.vectors[ids] - book.vectors[wrong_token], axis=1)
+    return ids[np.lexsort((ids, gap))], dist
 
 
 def proximity_rank(error_position: int, wrong_token: int, true_token: int,
@@ -88,10 +94,9 @@ def proximity_rank(error_position: int, wrong_token: int, true_token: int,
     """Rank of the true token among top-k candidates by distance to z_e."""
     if wrong_token == true_token:
         raise ValueError("not an error: tokens agree")
-    dist = next_distribution(model, condition, corrected_prefix,
-                             error_position)
-    ordered = _proximity_order(dist.token_ids, wrong_token, book)
-    matches = np.nonzero(ordered == true_token)[0]
+    ordered, _ = _candidates(error_position, wrong_token, corrected_prefix,
+                             model, condition, book)
+    matches = np.flatnonzero(ordered == true_token)
     if len(matches) == 0:
         raise RankOverflow(f"true token {true_token} not in top-k support")
     rank = int(matches[0])
@@ -104,40 +109,28 @@ def ecc_encode(true_grid: np.ndarray, recovered_grid: np.ndarray,
                model: ModelSpec, condition: Condition, book: Codebook,
                params: EccParams, budget_bits: int) -> EccEncodeResult:
     """Serialize corrections front to back until something no longer fits."""
-    errors = diff_tokens(true_grid, recovered_grid)
     work = np.asarray(recovered_grid).ravel().copy()
     bits = BitString()
     rl = ErrorRecordList()
-    prev_pos: int | None = None
-    for pos, true_tok in errors:
-        first = prev_pos is None
-        if first:
-            # floor(log2(h*w)) bits cannot address a tail of the grid when
-            # h*w is not a power of two; such a first error is uncorrectable
-            if pos >= 1 << params.position_bits:
-                rl.truncated_at = pos
-                break
-        else:
-            delta1 = pos - prev_pos
-            if delta1 >= 1 << params.lambda1:
-                rl.truncated_at = pos
-                break
-        if len(bits) + params.record_bits(first) > budget_bits:
+    for pos, true_tok in diff_tokens(true_grid, recovered_grid):
+        first = not rl.positions
+        head = params.position_bits if first else params.lambda1
+        coordinate = pos if first else pos - rl.positions[-1]
+        ordered, _ = _candidates(pos, int(work[pos]),
+                                 context_before(work, pos, model), model,
+                                 condition, book)
+        rank = np.flatnonzero(ordered == true_tok)
+        # floor(log2(h*w)) bits cannot address a tail of the grid when h*w
+        # is not a power of two, so a first error there is uncorrectable
+        if (coordinate >= 1 << head or len(rank) == 0
+                or rank[0] >= 1 << params.lambda2
+                or len(bits) + head + params.lambda2 > budget_bits):
             rl.truncated_at = pos
             break
-        try:
-            rank = proximity_rank(pos, int(work[pos]), true_tok,
-                                  context_before(work, pos, model), model,
-                                  condition, book, params)
-        except RankOverflow:
-            rl.truncated_at = pos
-            break
-        head = (BitString.from_int(pos, params.position_bits) if first
-                else BitString.from_int(delta1, params.lambda1))
-        bits += head + BitString.from_int(rank, params.lambda2)
+        bits += (BitString.from_int(coordinate, head)
+                 + BitString.from_int(int(rank[0]), params.lambda2))
         rl.positions.append(pos)
         work[pos] = true_tok
-        prev_pos = pos
     return EccEncodeResult(bits=bits, corrected_count=len(rl.positions),
                            record_list=rl)
 
@@ -169,9 +162,9 @@ def ecc_decode(ecc_bits: BitString, recovered_grid: np.ndarray,
         at += params.lambda2
         if pos >= n:
             raise MalformedEcc(f"corrected position {pos} outside the grid")
-        dist = next_distribution(model, condition,
-                                 context_before(work, pos, model), pos)
-        ordered = _proximity_order(dist.token_ids, int(work[pos]), book)
+        ordered, _ = _candidates(pos, int(work[pos]),
+                                 context_before(work, pos, model), model,
+                                 condition, book)
         if rank >= len(ordered):
             raise MalformedEcc(f"rank {rank} exceeds candidate count")
         work[pos] = ordered[rank]
@@ -225,11 +218,10 @@ def rank_comparison(error_position: int, wrong_token: int, true_token: int,
                     corrected_prefix, model: ModelSpec, condition: Condition,
                     book: Codebook) -> tuple[int, int]:
     """(proximity rank, probability-order rank) of the true token."""
-    dist = next_distribution(model, condition, corrected_prefix,
-                             error_position)
-    ordered = _proximity_order(dist.token_ids, wrong_token, book)
-    prox = np.nonzero(ordered == true_token)[0]
-    prob = np.nonzero(dist.token_ids == true_token)[0]
+    ordered, dist = _candidates(error_position, wrong_token,
+                                corrected_prefix, model, condition, book)
+    prox = np.flatnonzero(ordered == true_token)
+    prob = np.flatnonzero(dist.token_ids == true_token)
     if len(prox) == 0 or len(prob) == 0:
         raise RankOverflow("true token not in top-k support")
     return int(prox[0]), int(prob[0])

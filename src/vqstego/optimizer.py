@@ -106,9 +106,15 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
         evals += 1
         if not np.isfinite(value):
             raise NonFiniteLoss(f"loss diverged at evaluation {evals}")
+        # a huge decoder alpha can overflow the gradient of an unsaturated
+        # cell
+        with np.errstate(over="ignore"):
+            g = 2.0 * value * g
+        if not np.isfinite(g).all():
+            raise NonFiniteLoss(f"gradient diverged at evaluation {evals}")
         if value < best_value:
             best_value, best_z = value, latents.copy()
-        return value * value, (2.0 * value * g).ravel()
+        return value * value, g.ravel()
 
     try:
         minimize(squared, z.ravel(), method="L-BFGS-B", jac=True)

@@ -255,6 +255,16 @@ def _recovery(extracted: ExtractResult, key: StegoKey,
     return scores
 
 
+def _stream_sizes(embedded: EmbedResult) -> dict:
+    """The correction stream's sizes, when the embedding carries one."""
+    if embedded.text is None:
+        return {}
+    return {"text_payload_bits": embedded.text.payload_bits,
+            "text_capacity_bits": embedded.text.capacity_bits,
+            "ecc_corrected": embedded.ecc.corrected_count,
+            "ecc_bits": len(embedded.ecc.bits)}
+
+
 def score_run(pipe: Pipeline, key: StegoKey, embedded: EmbedResult,
               extracted: ExtractResult, true_message: BitString,
               seed: int) -> RunMetrics:
@@ -270,13 +280,7 @@ def score_run(pipe: Pipeline, key: StegoKey, embedded: EmbedResult,
         **_recovery(extracted, key, true_message, embedded.grid),
         final_loss=extracted.final_loss,
         opt_steps=extracted.opt_report.steps_run,
-        text_payload_bits=(embedded.text.payload_bits
-                           if embedded.text else None),
-        text_capacity_bits=(embedded.text.capacity_bits
-                            if embedded.text else None),
-        ecc_corrected=(embedded.ecc.corrected_count
-                       if embedded.ecc else None),
-        ecc_bits=len(embedded.ecc.bits) if embedded.ecc else None,
+        **_stream_sizes(embedded),
         ecc_position_stats=ecc_stats,
         max_tokens=pipe.cfg.max_tokens,
     )
@@ -324,15 +328,7 @@ def run_embed(cfg: PipelineConfig, message: BitString, out_dir,
         text_path = os.path.join(out_dir, "stego_text.txt")
         with open(text_path, "w") as f:
             f.write(render_words(result.text.tokens) + "\n")
-        with open(os.path.join(out_dir, "text_tokens.json"), "w") as f:
-            json.dump(result.text.tokens, f)
-        manifest.update({
-            "text_file": "stego_text.txt",
-            "text_payload_bits": result.text.payload_bits,
-            "text_capacity_bits": result.text.capacity_bits,
-            "ecc_corrected": result.ecc.corrected_count,
-            "ecc_bits": len(result.ecc.bits),
-        })
+        manifest.update(text_file="stego_text.txt", **_stream_sizes(result))
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     with open(os.path.join(out_dir, "truth.json"), "w") as f:

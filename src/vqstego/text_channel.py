@@ -40,10 +40,9 @@ def embed_ecc(ecc_bits: BitString, received_image: np.ndarray, key: StegoKey,
             f"{len(ecc_bits)} payload bits exceed the realized text capacity "
             f"of {consumed} bits at max_tokens={max_tokens}",
             realized_bits=consumed)
-    capacity = sequence_capacity(text_model, condition, key, max_tokens,
-                                 TEXT_DOMAIN)
     return StegoText(tokens=tokens.tolist(), payload_bits=consumed,
-                     capacity_bits=capacity)
+                     capacity_bits=text_capacity(received_image, key,
+                                                 text_model, max_tokens))
 
 
 def extract_ecc(tokens, received_image: np.ndarray, key: StegoKey,

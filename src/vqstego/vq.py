@@ -186,6 +186,21 @@ def build_tokenizer(decoder_seed: int, codebook: Codebook, patch: int,
     if not np.isfinite(weight_pinv).all():
         raise MalformedInput(f"decoder weight_scale {weight_scale:g} has no "
                              f"finite encoder")
+    # for any image, `encode`'s latents are at most the pseudo-inverse's
+    # largest absolute row sum times atanh(1 - eps) / |alpha| + max |bias| in
+    # magnitude; they and `quantize`'s squared distances from them to the
+    # codebook must stay finite, which a tiny alpha breaks
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        span = (np.abs(weight_pinv).sum(axis=1).max()
+                * (np.arctanh(1.0 - _ATANH_EPS) / abs(alpha)
+                   + np.abs(bias).max())
+                + np.abs(codebook.vectors).max())
+        finite = np.isfinite(span * span * codebook.dim)
+    if not finite:
+        raise MalformedInput(f"decoder alpha {alpha:g}, weight_scale "
+                             f"{weight_scale:g} and bias_scale "
+                             f"{bias_scale:g} give an encoder whose latents "
+                             f"overflow")
     return Tokenizer(codebook=codebook, weight=weight, bias=bias,
                      weight_pinv=weight_pinv, alpha=alpha,
                      patch=patch, grid_h=grid_h, grid_w=grid_w)

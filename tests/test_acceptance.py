@@ -231,8 +231,8 @@ def test_criterion_8_determinism(capfd, tmp_path):
     message = KeyedStream(key.with_domain("determinism")).next_bits(300)
     run_embed(cfg, message, tmp_path / "a", key)
     run_embed(cfg, message, tmp_path / "b", key)
-    files = ["stego.vqi", "stego.ppm", "stego_text.txt", "text_tokens.json",
-             "manifest.json", "truth.json"]
+    files = ["stego.vqi", "stego.ppm", "stego_text.txt", "manifest.json",
+             "truth.json"]
     identical = [name for name in files
                  if (tmp_path / "a" / name).read_bytes()
                  == (tmp_path / "b" / name).read_bytes()]

@@ -409,10 +409,10 @@ _extreme_numbers = st.one_of(
                      "-0", "1e300", "1e-300"]),
 ).map(str)
 
+_VQ_KEYS = [("vq", "weight_scale"), ("vq", "bias_scale"), ("vq", "alpha")]
 _FUZZED_KEYS = [(section, key)
                 for section in ("image_model", "text_model")
-                for key in ("seed", "num_conditions", "temperature")] + [
-    ("vq", "weight_scale"), ("vq", "bias_scale"), ("vq", "alpha")]
+                for key in ("seed", "num_conditions", "temperature")] + _VQ_KEYS
 
 
 def quiet_main(argv) -> None:
@@ -449,6 +449,38 @@ class TestFuzz:
             msg.write_text("0101")
             quiet_main(["embed", str(msg), "--config", str(ini),
                         "--out", str(Path(tmp) / "o")])
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_VQ_KEYS),
+                           _extreme_numbers, min_size=1, max_size=3))
+    @example({("vq", "alpha"): "1e-320"})
+    @example({("vq", "alpha"): "1e-300"})
+    @example({("vq", "alpha"): "1e-160"})
+    def test_receiver_vq_values(self, stego_dir, values):
+        # embed with the correction stream, attack, then extract with the
+        # text; when embed refuses the config, the receiver still gets an
+        # attacked image, one embedded under the default [vq] values
+        sections = {"channel": ["spec = gaussian:0.1"],
+                    "optimizer": ["steps = 20"], "vq": []}
+        for (section, key), value in values.items():
+            sections[section].append(f"{key} = {value}")
+        with tempfile.TemporaryDirectory() as tmp:
+            ini, out = Path(tmp) / "c.ini", Path(tmp) / "o"
+            ini.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                                   for section, lines in sections.items()))
+            msg = Path(tmp) / "m.txt"
+            msg.write_text("0101")
+            quiet_main(["embed", str(msg), "--config", str(ini),
+                        "--out", str(out)])
+            stego = out / "stego.vqi"
+            quiet_main(["attack",
+                        str(stego if stego.exists()
+                            else stego_dir / "stego.vqi"),
+                        "--config", str(ini), "--out", tmp])
+            text = out / "stego_text.txt"
+            quiet_main(["extract", str(Path(tmp) / "attacked.vqi"),
+                        *(["--text", str(text)] if text.exists() else []),
+                        "--config", str(ini), "--out", tmp])
 
     @settings(max_examples=20, deadline=None)
     @given(st.one_of(st.binary(max_size=120),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from vqstego.bits import BitString, StegoKey
 from vqstego.codec import sample_sequence
-from vqstego.ecc import (EccParams, _proximity_order, capacity_tau,
+from vqstego.ecc import (EccParams, _candidates, capacity_tau,
                          diff_tokens, ecc_decode, ecc_encode,
                          position_cost_stats, proximity_rank,
                          rank_comparison)
@@ -63,19 +63,23 @@ class TestDiff:
 
 class TestProximityRank:
     def test_sort_oracle_three_candidates(self):
-        # hand-set distances 0.1 < 0.4 < 0.9 from the wrong token's vector;
-        # the true token in the middle gets rank 1.
-        book = Codebook(vectors=np.array([[0.0], [0.1], [0.4], [0.9]]),
+        # hand-set distances 0.1 < 0.4 < 0.9 from the wrong token's vector
+        # (token 3); the support is the whole vocabulary, so the wrong token
+        # comes first and the middle candidate gets rank 2.
+        book = Codebook(vectors=np.array([[0.1], [0.4], [0.9], [0.0]]),
                         min_distance=0.1)
-        order = _proximity_order(np.array([1, 2, 3]), 0, book)
-        assert order.tolist() == [1, 2, 3]
-        assert int(np.nonzero(order == 2)[0][0]) == 1
+        model = ModelSpec(vocab_size=4, top_k=4, seed=1)
+        order, _ = _candidates(0, 3, [], model, COND, book)
+        assert order.tolist() == [3, 0, 1, 2]
+        assert int(np.nonzero(order == 1)[0][0]) == 2
 
     def test_ties_break_by_token_id(self):
         book = Codebook(vectors=np.array([[0.0], [0.5], [-0.5]]),
                         min_distance=0.5)
-        order = _proximity_order(np.array([1, 2]), 0, book)
-        assert order.tolist() == [1, 2]
+        model = ModelSpec(vocab_size=3, top_k=3, seed=1)
+        for pos in range(8):  # whatever the probability order of 1 and 2
+            order, _ = _candidates(pos, 0, [], model, COND, book)
+            assert order.tolist() == [0, 1, 2]
 
     def test_nearest_candidate_rank_zero(self):
         g = true_grid(2)
@@ -103,9 +107,9 @@ class TestProximityRank:
         g = true_grid(4)
         pos = 6
         params = EccParams(lambda1=8, lambda2=1, position_bits=9)
-        d = next_distribution(MODEL, COND, g[:pos].tolist(), pos)
         wrong = int(g[pos])
-        order = _proximity_order(d.token_ids, wrong, BOOK)
+        order, _ = _candidates(pos, wrong, g[:pos].tolist(), MODEL, COND,
+                               BOOK)
         far = int(order[-1])  # rank len-1 >= 2 > 2^1 - 1
         with pytest.raises(RankOverflow):
             proximity_rank(pos, wrong, far, g[:pos].tolist(), MODEL, COND,
@@ -169,6 +173,38 @@ class TestEncodeDecode:
         enc = ecc_encode(g, r, MODEL, COND, BOOK, PARAMS, 17)
         assert enc.corrected_count == 1
         assert enc.record_list.truncated_at == 10
+
+    def assert_stops_at(self, true, recovered, params, stop, kept):
+        enc = ecc_encode(true, recovered, MODEL, COND, BOOK, params, 1000)
+        assert enc.record_list.truncated_at == stop
+        assert enc.record_list.positions == kept
+        fixed = ecc_decode(enc.bits, recovered, MODEL, COND, BOOK, params)
+        assert np.flatnonzero(fixed != recovered).tolist() == kept
+        assert np.array_equal(fixed[kept], true[kept])
+
+    def test_true_token_outside_support_truncates(self):
+        rng = np.random.Generator(np.random.PCG64(10))
+        g = true_grid(17)
+        recovered = corrupt(g, [5, 12], rng)
+        # the true token at 20 is one the model cannot emit after g[:20]
+        support = next_distribution(MODEL, COND, g[:20].tolist(),
+                                    20).token_ids
+        true = g.copy()
+        true[20] = next(t for t in range(256) if t not in support)
+        self.assert_stops_at(true, recovered, PARAMS, stop=20, kept=[5, 12])
+
+    def test_rank_beyond_lambda2_truncates(self):
+        # lambda2 = 1 carries ranks 0 and 1; pick wrong tokens that put the
+        # true token at rank 0 or 1 at 5 and 12, and at rank >= 2 at 20
+        params = EccParams(lambda1=8, lambda2=1, position_bits=9)
+        g = true_grid(18)
+        recovered = g.copy()
+        for pos, fits in ((5, True), (12, True), (20, False)):
+            recovered[pos] = next(
+                w for w in range(256) if w != g[pos]
+                and (proximity_rank(pos, w, int(g[pos]), g[:pos].tolist(),
+                                    MODEL, COND, BOOK, PARAMS) < 2) == fits)
+        self.assert_stops_at(g, recovered, params, stop=20, kept=[5, 12])
 
     def test_decode_round_trip_corrects_encoded_positions(self):
         rng = np.random.Generator(np.random.PCG64(6))

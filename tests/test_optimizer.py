@@ -238,6 +238,17 @@ class TestOptimize:
                 pytest.warns(RuntimeWarning, match="overflow"):
             optimize_tokens(bad, LOSSLESS, tokenizer, OptimConfig(steps=5))
 
+    def test_overflowing_gradient_raises_quietly(self):
+        # with no bias, the encoder's latents leave tanh(alpha * pre)
+        # unsaturated, and alpha = 1e308 overflows their gradient; the
+        # suite turns an overflow warning into an error
+        book = build_codebook(7, 256, 8)
+        tok = build_tokenizer(11, book, 4, 24, 24, 1e308, 0.3, 0.0)
+        spec = parse_channel("gaussian:0.1", 0)
+        received = chan.apply(spec, tok.decode(np.zeros((24, 24), int)))
+        with pytest.raises(NonFiniteLoss, match="gradient"):
+            optimize_tokens(received, spec, tok, OptimConfig(steps=5))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimConfig(steps=0)

@@ -178,7 +178,9 @@ class TestFileRuns:
         key = derive_key(cfg)
         out = tmp_path / "run"
         manifest = run_embed(cfg, make_message(key, 100), out)
-        assert (out / "stego_text.txt").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "stego.ppm", "stego.vqi", "stego_text.txt",
+            "truth.json"]
         assert manifest["text_payload_bits"] >= 32  # at least the frame header
         got, info = run_extract(cfg, out / "stego.vqi",
                                 text_path=out / "stego_text.txt",

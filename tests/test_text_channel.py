@@ -29,6 +29,7 @@ class TestEmbedExtract:
         bits = KeyedStream(key.with_domain("payload")).next_bits(120)
         st = embed_ecc(bits, image, key, TEXT_MODEL, max_tokens=100)
         assert st.payload_bits == 120
+        assert st.capacity_bits == text_capacity(image, key, TEXT_MODEL, 100)
         assert len(st.tokens) == 100  # always runs to max_tokens
         out = extract_ecc(st.tokens, image, key, TEXT_MODEL)
         assert list(out)[:120] == list(bits)

@@ -113,6 +113,23 @@ class TestDecodeEncode:
         assert np.array_equal(tok.decode(grid), want)
         assert np.array_equal(tok.decode_continuous(vectors), want)
 
+    @pytest.mark.parametrize("alpha", [1e-320, -1e-300, 1e-160])
+    def test_alpha_whose_encoder_overflows_is_malformed(self, alpha):
+        # atanh(1 - eps) / alpha overflows the encoder's latents or
+        # quantize's squared distances to the codebook
+        with pytest.raises(MalformedInput, match="alpha"):
+            small_tokenizer(bias_scale=2.1, alpha=alpha)
+
+    def test_accepted_tiny_alpha_encodes_finitely(self):
+        # each image's patches take the signs of one pseudo-inverse row, so
+        # one latent coordinate comes near the bound; the suite turns an
+        # overflow warning into an error
+        tok = small_tokenizer(bias_scale=2.1, alpha=1e-150)
+        for row in np.sign(tok.weight_pinv):
+            patch = np.repeat(row[None], 16, axis=0).reshape(4, 4, 4, 4, 3)
+            image = patch.transpose(0, 2, 1, 3, 4).reshape(16, 16, 3)
+            assert tok.quantize(tok.encode(image)).shape == (4, 4)
+
     def test_index_out_of_range(self, tokenizer):
         with pytest.raises(IndexOutOfRange):
             tokenizer.decode(np.full((24, 24), 256))
