@@ -210,17 +210,29 @@ def _apply_banded(bh: np.ndarray, bw: np.ndarray,
 def crop_windows(a: np.ndarray, top: np.ndarray, left: np.ndarray,
                  size: int) -> np.ndarray:
     """(n, size, size, ...) squares of `a` with corners (top[i], left[i]);
-    pixels outside `a` read as zero."""
+    pixels outside `a` read as zero. The result is C-contiguous.
+
+    The windows are read through a strided view of the box they cover: a
+    slice of `a` itself when `a` is C-contiguous and holds the box, else a
+    zero-padded C-contiguous copy of it.
+    """
     h, w = a.shape[:2]
-    rows = top[:, None] + np.arange(size)
-    cols = left[:, None] + np.arange(size)
-    out = a[np.minimum(np.maximum(rows, 0), h - 1)[:, :, None],
-            np.minimum(np.maximum(cols, 0), w - 1)[:, None, :]]
-    if top.min() < 0 or top.max() + size > h:
-        out[(rows < 0) | (rows >= h)] = 0.0
-    if left.min() < 0 or left.max() + size > w:
-        out.swapaxes(1, 2)[(cols < 0) | (cols >= w)] = 0.0
-    return out
+    t0, l0 = int(top.min()), int(left.min())
+    bh, bw = int(top.max()) + size - t0, int(left.max()) + size - l0
+    if (a.flags.c_contiguous and t0 >= 0 and l0 >= 0 and t0 + bh <= h
+            and l0 + bw <= w):
+        box = a[t0:t0 + bh, l0:l0 + bw]
+    else:
+        box = np.zeros((bh, bw) + a.shape[2:], a.dtype)
+        r0, r1 = max(t0, 0), min(t0 + bh, h)
+        c0, c1 = max(l0, 0), min(l0 + bw, w)
+        if r0 < r1 and c0 < c1:
+            box[r0 - t0:r1 - t0, c0 - l0:c1 - l0] = a[r0:r1, c0:c1]
+    s0, s1 = box.strides[:2]
+    windows = as_strided(box, (bh - size + 1, bw - size + 1, size, size)
+                         + box.shape[2:], (s0, s1, s0, s1) + box.strides[2:],
+                         writeable=False)
+    return windows[top - t0, left - l0]
 
 
 def _quantize_values(x: np.ndarray, levels: int) -> np.ndarray:

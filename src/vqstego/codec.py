@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,6 +38,15 @@ class StepOutcome:
     capacity: int
 
 
+# n is a power of two no larger than a support, so there are few of them
+@lru_cache(maxsize=64)
+def _shifts(n: int) -> np.ndarray:
+    """The read-only grid j/n for j < n."""
+    grid = np.arange(n) / n
+    grid.flags.writeable = False
+    return grid
+
+
 def step_capacity(dist: Distribution, r: float) -> int:
     """Largest k such that the 2^k cyclic shifts of r hit distinct tokens.
 
@@ -48,8 +58,8 @@ def step_capacity(dist: Distribution, r: float) -> int:
     search stops at the first repeat.
     """
     fine = 1 << (len(dist).bit_length() - 1)
-    cells = np.searchsorted(dist.cum, (r + np.arange(fine) / fine) % 1.0,
-                            side="right").tolist()
+    cells = dist.cum.searchsorted((r + _shifts(fine)) % 1.0,
+                                  side="right").tolist()
     k = 0
     while (1 << (k + 1)) <= fine:
         grid = cells[::fine >> (k + 1)]
@@ -82,10 +92,8 @@ def extract_step(dist: Distribution, r: float,
                  observed: int) -> tuple[BitString, int]:
     """Recover the copy index of the observed token as k* bits."""
     k = step_capacity(dist, r)
-    m = 1 << k
-    shifts = (r + np.arange(m) / m) % 1.0
-    tokens = dist.locate_many(shifts)
-    matches = np.nonzero(tokens == observed)[0]
+    tokens = dist.locate_many((r + _shifts(1 << k)) % 1.0)
+    matches = (tokens == observed).nonzero()[0]
     if len(matches) == 0:
         raise TokenNotInSupport(f"token {observed} not reachable at this step")
     return BitString.from_int(int(matches[0]), k), k

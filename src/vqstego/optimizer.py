@@ -66,7 +66,10 @@ def loss_and_gradient(latents: np.ndarray, received: np.ndarray,
         return 0.0, np.zeros_like(latents)
     grad_out = -residual / value
     grad_decoded = chan.backward(tape, grad_out)
-    return value, tokenizer.grad_latents(grad_decoded, cells)
+    # a huge decoder alpha and weight can overflow the gradient of an
+    # unsaturated cell; `optimize_tokens` raises on a non-finite gradient
+    with np.errstate(over="ignore"):
+        return value, tokenizer.grad_latents(grad_decoded, cells)
 
 
 class _BudgetSpent(Exception):

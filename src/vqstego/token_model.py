@@ -1,9 +1,10 @@
 """Deterministic toy autoregressive token models with top-k truncation.
 
-Logits are a seeded hash of (model seed, condition, recent context, step),
-so both parties reconstruct bit-identical next-token distributions without
-any trained weights. The interval layout over [0,1) is canonical:
-probability descending, token id ascending.
+Logits are standard normal draws from a PCG64 generator seeded by a hash of
+(model seed, condition, recent context, step), so both parties reconstruct
+bit-identical next-token distributions without any trained weights. The
+interval layout over [0,1) is canonical: probability descending, token id
+ascending.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .bits import KeyedStream, StegoKey
 from .errors import TokenOutOfRange
@@ -68,9 +70,10 @@ class Distribution:
     def __init__(self, token_ids: np.ndarray, probs: np.ndarray):
         probs = probs / probs.sum()
         order = np.lexsort((token_ids, -probs))
-        self.token_ids = np.ascontiguousarray(token_ids[order])
-        self.probs = np.ascontiguousarray(probs[order])
-        cum = np.cumsum(self.probs)
+        # fancy indexing returns fresh contiguous arrays
+        self.token_ids = token_ids[order]
+        self.probs = probs = probs[order]
+        cum = probs.cumsum()
         cum[-1] = 1.0
         self.cum = cum
 
@@ -79,44 +82,66 @@ class Distribution:
 
     def locate(self, r: float) -> int:
         """Token whose half-open interval holds r in [0,1)."""
-        return int(self.token_ids[np.searchsorted(self.cum, r, side="right")])
+        return int(self.token_ids[self.cum.searchsorted(r, side="right")])
 
     def locate_many(self, rs: np.ndarray) -> np.ndarray:
-        return self.token_ids[np.searchsorted(self.cum, rs, side="right")]
+        return self.token_ids[self.cum.searchsorted(rs, side="right")]
+
+
+class _DigestWords(ISeedSequence):
+    """Hands PCG64 a hash digest's 64-bit words as its seed words.
+
+    A blake2b digest is already uniform, so numpy's `SeedSequence` would
+    only hash it again. PCG64 reads four words: the first two are its
+    128-bit state seed and the last two its stream increment, each high
+    word first.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, digest: bytes):
+        self.words = np.frombuffer(digest, "<u8").astype(np.uint64,
+                                                         copy=False)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _logits(spec: ModelSpec, condition: Condition, context: Sequence[int],
             position: int) -> np.ndarray:
-    h = hashlib.blake2b(digest_size=16)
-    h.update(struct.pack(">qqq", spec.seed, condition.id, position))
-    for tok in context:
-        h.update(struct.pack(">q", tok))
-    rng = np.random.Generator(
-        np.random.PCG64(int.from_bytes(h.digest(), "big")))
+    fields = struct.pack(f">{3 + len(context)}q", spec.seed, condition.id,
+                         position, *context)
+    digest = hashlib.blake2b(fields, digest_size=32).digest()
+    # a generator per call: nothing is shared between threads
+    rng = np.random.Generator(np.random.PCG64(_DigestWords(digest)))
     return rng.standard_normal(spec.vocab_size)
 
 
 def next_distribution(spec: ModelSpec, condition: Condition,
                       prefix: Sequence[int], position: int) -> Distribution:
+    """The top-k tokens of the scaled logits, ties at the cut going to the
+    lower id, with softmax probabilities."""
     # only the context reaches the hash, so tokens before it cannot change
     # the result; each walk's tokens were in range when it appended them
     context = tuple(prefix[-spec.context_order:]) if spec.context_order else ()
+    vocab, k = spec.vocab_size, spec.top_k
     for tok in context:
-        if not (0 <= tok < spec.vocab_size):
-            raise TokenOutOfRange(f"prefix token {tok} >= {spec.vocab_size}")
-    logits = _logits(spec, condition, context, position)
-    z = logits / spec.temperature
-    z -= z.max()
-    p = np.exp(z)
-    if spec.top_k < spec.vocab_size:
-        keep = np.argpartition(-p, spec.top_k - 1)[: spec.top_k]
-        # argpartition order is unstable across inputs; sort ids for a
-        # reproducible pre-canonical set
-        keep = np.sort(keep)
-        ids, p = keep, p[keep]
+        if not (0 <= tok < vocab):
+            raise TokenOutOfRange(f"prefix token {tok} >= {vocab}")
+    z = _logits(spec, condition, context, position)
+    z /= spec.temperature
+    if k < vocab:
+        # the k largest sit past the cut, and the value on each side of it
+        # is exact, so a tie across the cut shows as two equal values
+        part = z.argpartition((vocab - k - 1, vocab - k))
+        ids = part[vocab - k:]
+        if z[part[vocab - k - 1]] == z[ids[0]]:
+            ids = (-z).argsort(kind="stable")[:k]
+        z = z[ids]
     else:
-        ids = np.arange(spec.vocab_size)
-    return Distribution(ids, p)
+        ids = np.arange(vocab)
+    z -= z.max()
+    return Distribution(ids, np.exp(z, out=z))
 
 
 def context_before(tokens: np.ndarray, position: int,

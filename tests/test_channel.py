@@ -342,6 +342,40 @@ class TestWindows:
         want[1, :4, 3:] = a[6:, :2]
         assert np.array_equal(got, want)
 
+    @staticmethod
+    def clamped_crop(a, top, left, size):
+        """Windows gathered at clamped indices, then the pixels outside `a`
+        masked to zero."""
+        h, w = a.shape[:2]
+        rows = top[:, None] + np.arange(size)
+        cols = left[:, None] + np.arange(size)
+        out = a[np.clip(rows, 0, h - 1)[:, :, None],
+                np.clip(cols, 0, w - 1)[:, None, :]]
+        out[(rows < 0) | (rows >= h)] = 0.0
+        out.swapaxes(1, 2)[(cols < 0) | (cols >= w)] = 0.0
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from([(), (3,), (2, 2)]),
+           st.sampled_from(["C", "F", "strided"]), st.integers(1, 10),
+           st.lists(st.tuples(st.integers(-14, 14), st.integers(-14, 14)),
+                    min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    def test_crop_matches_clamped_gather(self, h, w, rest, layout, size,
+                                         corners, seed):
+        # corners from far off each edge to far past it, so windows run off
+        # every edge or lie wholly outside, on C, Fortran and strided inputs
+        a = np.random.Generator(np.random.PCG64(seed)).standard_normal(
+            (h, 2 * w) + rest)
+        a = {"C": np.ascontiguousarray(a[:, :w]), "F": np.asfortranarray(a[:, :w]),
+             "strided": a[:, ::2]}[layout]
+        top, left = (np.array(c) for c in zip(*corners))
+        got = chan.crop_windows(a, top, left, size)
+        want = self.clamped_crop(a, top, left, size)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous
+
     @pytest.mark.parametrize("spec_text", SPECS)
     def test_run_windows_matches_run(self, spec_text):
         # border windows included: outside the image, the output is masked

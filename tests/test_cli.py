@@ -456,6 +456,8 @@ class TestFuzz:
     @example({("vq", "alpha"): "1e-320"})
     @example({("vq", "alpha"): "1e-300"})
     @example({("vq", "alpha"): "1e-160"})
+    @example({("vq", "bias_scale"): "0", ("vq", "weight_scale"): "1e300",
+              ("vq", "alpha"): "1e308"})
     def test_receiver_vq_values(self, stego_dir, values):
         # embed with the correction stream, attack, then extract with the
         # text; when embed refuses the config, the receiver still gets an

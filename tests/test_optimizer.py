@@ -240,14 +240,17 @@ class TestOptimize:
 
     def test_overflowing_gradient_raises_quietly(self):
         # with no bias, the encoder's latents leave tanh(alpha * pre)
-        # unsaturated, and alpha = 1e308 overflows their gradient; the
-        # suite turns an overflow warning into an error
+        # unsaturated, and alpha = 1e308 overflows their gradient, in the
+        # product with the weights when they are huge too; the suite turns
+        # an overflow warning into an error
         book = build_codebook(7, 256, 8)
-        tok = build_tokenizer(11, book, 4, 24, 24, 1e308, 0.3, 0.0)
         spec = parse_channel("gaussian:0.1", 0)
-        received = chan.apply(spec, tok.decode(np.zeros((24, 24), int)))
-        with pytest.raises(NonFiniteLoss, match="gradient"):
-            optimize_tokens(received, spec, tok, OptimConfig(steps=5))
+        for weight_scale in (0.3, 1e300):
+            tok = build_tokenizer(11, book, 4, 24, 24, 1e308, weight_scale,
+                                  0.0)
+            received = chan.apply(spec, tok.decode(np.zeros((24, 24), int)))
+            with pytest.raises(NonFiniteLoss, match="gradient"):
+                optimize_tokens(received, spec, tok, OptimConfig(steps=5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -384,13 +387,22 @@ class TestSearch:
             tok.grid_h, tok.grid_w)
         received = chan.apply(spec, tok.decode(true_grid))
         start = tok.quantize(tok.encode(received))
+        score_class = optimizer._score_class
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return score_class(*args)
+
+        monkeypatch.setattr(optimizer, "_score_class", counting)
         want = search_tokens(start, start, received, spec, tok, model,
                              condition)
-        score_class = optimizer._score_class
         repeats = []
 
         def flattering(grid, rows, cols, candidates, *args):
-            assert len(repeats) < 100
+            # the flattered scores take no repeat, so the search makes the
+            # plain search's class scorings and no more
+            assert len(repeats) < len(calls)
             losses = score_class(grid, rows, cols, candidates, *args)
             same = candidates == grid[rows, cols][:, None]
             repeat = same & (np.cumsum(same, axis=1) > 1)
@@ -402,6 +414,7 @@ class TestSearch:
         found, hard_loss = search_tokens(start, start, received, spec, tok,
                                          model, condition)
         assert sum(repeats) > 0
+        assert len(repeats) == len(calls)
         assert np.array_equal(found, want[0]) and hard_loss == want[1]
 
     @pytest.mark.parametrize("seed", range(5))

@@ -20,21 +20,22 @@ COND = Condition(17)
 KEY = StegoKey(bytes(range(32)))
 STEPS = 24
 
-TOKENS = [121, 209, 249, 5, 170, 107, 64, 128, 24, 126, 174, 99, 143, 69, 87,
-          69, 93, 112, 72, 193, 17, 51, 199, 154]
-# the 40 message bits, then 44 keystream pad bits
+TOKENS = [230, 235, 151, 9, 189, 233, 87, 95, 130, 5, 154, 14, 73, 89, 141,
+          187, 219, 79, 63, 3, 255, 253, 102, 201]
+# the 40 message bits, then 42 keystream pad bits
 EXTRACTED = ("0111111001110101101111101101001100101101"
-             "01110100011101010000100000000100011001111100")
-TRACE = [(2, 1), (4, 15), (4, 9), (4, 13), (3, 3), (3, 3), (4, 14), (3, 6),
-         (4, 9), (4, 9), (3, 3), (4, 5), (4, 13), (3, 0), (4, 14), (3, 5),
-         (4, 0), (4, 8), (3, 0), (4, 2), (3, 1), (3, 4), (4, 15), (3, 4)]
-PADDED_PATH_CAPACITY = 77
+             "011101000111010100001000000001000110011111")
+TRACE = [(4, 7), (4, 14), (4, 7), (3, 2), (3, 6), (3, 7), (3, 6), (4, 13),
+         (3, 1), (3, 4), (2, 2), (3, 6), (4, 11), (4, 10), (4, 3), (3, 5),
+         (3, 2), (3, 0), (3, 4), (4, 0), (3, 1), (4, 1), (4, 9), (4, 15)]
+PADDED_PATH_CAPACITY = 80
 FRAMED = ("01110101110001011010011110001101"
           "1101000100000111110100010100100101001110")
-# 9-bit position 3, then (8-bit gap, 8-bit rank) for gaps 37, 1, 59, 150
-ECC_BITS = ("00000001100000000"
+# 9-bit position 3 and its 8-bit rank, then (8-bit gap, 8-bit rank) for
+# gaps 37, 1, 59, 150
+ECC_BITS = ("00000001100000001"
             "0010010100000000" "0000000100000000" "0011101100000000"
-            "1001011000000000")
+            "1001011000000001")
 
 
 def message():

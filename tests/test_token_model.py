@@ -1,9 +1,14 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import two_token_dist
+from vqstego import token_model
 from vqstego.bits import StegoKey
 from vqstego.errors import TokenOutOfRange
 from vqstego.token_model import (Condition, Distribution, ModelSpec,
@@ -39,6 +44,57 @@ class TestDistribution:
         assert d.locate(0.6) == 0   # boundary belongs to the next interval
         assert d.locate(0.999) == 0
         assert d.locate(0.0) == 1
+
+
+def pcg64_from_words(words):
+    """PCG64 seeded as its C code seeds from four words: the first two the
+    128-bit state seed, the last two the stream, each high word first."""
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    mask = (1 << 128) - 1
+    inc = (((words[2] << 64 | words[3]) << 1) | 1) & mask
+    state = ((inc + (words[0] << 64 | words[1])) * mult + inc) & mask
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+class TestLogits:
+    def test_digest_words_seed_pcg64(self):
+        # the 32-byte blake2b digest of (seed, condition, position, context)
+        # as big-endian signed 64-bit fields; its little-endian words seed
+        # PCG64 with no SeedSequence between them
+        digest = hashlib.blake2b(struct.pack(">qqqqqq", 5, 3, 9, 1, 2, 3),
+                                 digest_size=32).digest()
+        words = [int.from_bytes(digest[i:i + 8], "little")
+                 for i in range(0, 32, 8)]
+        want = np.random.Generator(pcg64_from_words(words)).standard_normal(
+            SPEC.vocab_size)
+        got = token_model._logits(SPEC, COND, (1, 2, 3), 9)
+        assert np.array_equal(got, want)
+
+    def test_pooled_logits_are_standard_normal(self):
+        pooled = np.concatenate([
+            token_model._logits(SPEC, Condition(c), (), position)
+            for c in range(64) for position in range(64)])
+        assert len(pooled) == 4096 * SPEC.vocab_size
+        assert stats.kstest(pooled, "norm").pvalue > 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=64, max_size=64),
+           st.integers(1, 64))
+    def test_support_is_top_k_with_ties_to_the_lower_id(self, levels, top_k):
+        # few distinct logits, so ties straddle the cut
+        spec = ModelSpec(vocab_size=64, top_k=top_k, seed=5)
+        logits = np.array(levels, dtype=float)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(token_model, "_logits", lambda *args: logits.copy())
+            d = next_distribution(spec, COND, [], 0)
+        want = sorted(range(64), key=lambda i: (-logits[i], i))[:top_k]
+        assert d.token_ids.tolist() == want
+        assert np.array_equal(d.probs, np.sort(d.probs)[::-1])
+        assert d.cum[-1] == 1.0
 
 
 class TestNextDistribution:
