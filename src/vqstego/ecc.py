@@ -88,23 +88,6 @@ def _candidates(position: int, wrong_token: int, corrected_prefix,
     return ids[np.lexsort((ids, gap))], dist
 
 
-def proximity_rank(error_position: int, wrong_token: int, true_token: int,
-                   corrected_prefix, model: ModelSpec, condition: Condition,
-                   book: Codebook, params: EccParams) -> int:
-    """Rank of the true token among top-k candidates by distance to z_e."""
-    if wrong_token == true_token:
-        raise ValueError("not an error: tokens agree")
-    ordered, _ = _candidates(error_position, wrong_token, corrected_prefix,
-                             model, condition, book)
-    matches = np.flatnonzero(ordered == true_token)
-    if len(matches) == 0:
-        raise RankOverflow(f"true token {true_token} not in top-k support")
-    rank = int(matches[0])
-    if rank >= 1 << params.lambda2:
-        raise RankOverflow(f"rank {rank} needs more than lambda2 bits")
-    return rank
-
-
 def ecc_encode(true_grid: np.ndarray, recovered_grid: np.ndarray,
                model: ModelSpec, condition: Condition, book: Codebook,
                params: EccParams, budget_bits: int) -> EccEncodeResult:

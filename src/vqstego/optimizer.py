@@ -2,16 +2,18 @@
 
 `optimize_tokens` starts from the encoder's continuous latents for the
 received lossy image, whose quantization is the stage-1 grid, and runs
-L-BFGS-B with scipy's defaults on the squared L2 discrepancy between that
-image and the re-decoded image pushed through the smooth channel surrogate,
-then quantizes its best point to tokens. `search_tokens` starts from
-whichever of the two grids has the lower hard channel loss and runs iterated
-conditional modes on that loss: each cell tries the image model's top-k
-support in its place, and keeps the one that lowers the loss most. A
-candidate is scored on the cell's own tile, on a small window around one
-cell at a time, not on the whole image. The channel's stochastic stage is a
-frozen seeded field, so both objectives are deterministic, and under a
-shared noise seed the true token grid has a hard loss of exactly zero.
+L-BFGS-B on the squared L2 discrepancy between that image and the
+re-decoded image pushed through the smooth channel surrogate, then quantizes
+its best point to tokens. The receiver needs tokens, not the continuous
+optimum, so the solve stops once two checks in a row quantize its best point
+to the same grid. `search_tokens` starts from whichever of the two grids has
+the lower hard channel loss and runs iterated conditional modes on that
+loss: each cell tries the image model's top-k support in its place, and
+keeps the one that lowers the loss most. A candidate is scored on the
+cell's own tile, on a small window around one cell at a time, not on the
+whole image. The channel's stochastic stage is a frozen seeded field, so
+both objectives are deterministic, and under a shared noise seed the true
+token grid has a hard loss of exactly zero.
 """
 
 from __future__ import annotations
@@ -38,10 +40,26 @@ class OptimConfig:
             raise ValueError("require steps >= 1")
 
 
+# evaluations between two quantizations of the solve's best point: one
+# quantize costs about seven evaluations
+CHECK_EVERY = 10
+
+
 @dataclass
 class OptimReport:
     steps_run: int      # evaluations of `loss_and_gradient`
     start: np.ndarray   # the quantized start point: the stage-1 grid
+    # why the solve stopped: "settled" (two checks gave the same grid),
+    # "cap" (`OptimConfig.steps` evaluations) or "scipy" (L-BFGS-B returned
+    # on its own, with `message`)
+    stop: str
+    message: str = ""
+
+
+def _norm(residual: np.ndarray) -> float:
+    """The residual's 2-norm. einsum, not BLAS: a BLAS dot wakes its worker
+    threads on every evaluation, which costs more than the dot itself."""
+    return float(np.sqrt(np.einsum("ijk,ijk->", residual, residual)))
 
 
 def loss(latents: np.ndarray, received: np.ndarray, spec: ChannelSpec,
@@ -49,7 +67,7 @@ def loss(latents: np.ndarray, received: np.ndarray, spec: ChannelSpec,
     decoded = tokenizer.decode_continuous(latents)
     if decoded.shape != received.shape:
         raise ShapeMismatch(f"{decoded.shape} vs {received.shape}")
-    return float(np.linalg.norm(received - chan.apply_smooth(spec, decoded)))
+    return _norm(received - chan.apply_smooth(spec, decoded))
 
 
 def loss_and_gradient(latents: np.ndarray, received: np.ndarray,
@@ -61,7 +79,7 @@ def loss_and_gradient(latents: np.ndarray, received: np.ndarray,
         raise ShapeMismatch(f"{decoded.shape} vs {received.shape}")
     out, tape = chan.apply_smooth_with_tape(spec, decoded)
     residual = received - out
-    value = float(np.linalg.norm(residual))
+    value = _norm(residual)
     if value == 0.0:
         return 0.0, np.zeros_like(latents)
     grad_out = -residual / value
@@ -72,8 +90,9 @@ def loss_and_gradient(latents: np.ndarray, received: np.ndarray,
         return value, tokenizer.grad_latents(grad_decoded, cells)
 
 
-class _BudgetSpent(Exception):
-    """Raised inside the L-BFGS objective once the evaluation cap is used."""
+class _Stop(Exception):
+    """Raised inside the L-BFGS objective to end the solve; its one argument
+    is `OptimReport.stop`."""
 
 
 def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
@@ -82,28 +101,33 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
     """L-BFGS-B over continuous latents from the re-encoded ones, then a
     quantization of the best point it evaluated.
 
-    `config.steps` caps the evaluations of `loss_and_gradient`.
+    After every `CHECK_EVERY`-th evaluation the best point so far is
+    quantized; the solve stops at the first check whose grid equals the
+    previous check's. `config.steps` caps the evaluations of
+    `loss_and_gradient`.
     """
     z = tokenizer.encode(received)
     # before the solve: freeing quantize's large temporary raises glibc's
     # malloc thresholds, so the solve's arrays reuse heap pages
     start = tokenizer.quantize(z)
-    # the loss's norm sums in memory order, so `received` takes the smooth
-    # channel output's layout, (H, C, W) after a rescale: the C-order image
-    # a file read gives then runs the solve the channel's own output does
+    # `_norm` sums in an order set by the memory layout, so `received` takes
+    # the smooth channel output's layout, (H, C, W) after a rescale: the
+    # C-order image a file read gives then runs the solve the channel's own
+    # output does
     aligned = np.empty_like(
         chan.apply_smooth(spec, tokenizer.decode_continuous(z)))
     aligned[...] = received
     received = aligned
     evals = 0
     best_value, best_z = np.inf, z
+    checked = None  # the grid of the last check
 
     def squared(x: np.ndarray) -> tuple[float, np.ndarray]:
         # scipy checks its own maxfun only between iterations, so a line
         # search could overrun the cap; stop it here instead
-        nonlocal evals, best_value, best_z
+        nonlocal evals, best_value, best_z, checked
         if evals == config.steps:
-            raise _BudgetSpent
+            raise _Stop("cap")
         latents = x.reshape(z.shape)
         value, g = loss_and_gradient(latents, received, spec, tokenizer)
         evals += 1
@@ -117,13 +141,21 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
             raise NonFiniteLoss(f"gradient diverged at evaluation {evals}")
         if value < best_value:
             best_value, best_z = value, latents.copy()
+        if evals % CHECK_EVERY == 0:
+            grid = tokenizer.quantize(best_z)
+            if checked is not None and np.array_equal(grid, checked):
+                raise _Stop("settled")
+            checked = grid
         return value * value, g.ravel()
 
     try:
-        minimize(squared, z.ravel(), method="L-BFGS-B", jac=True)
-    except _BudgetSpent:
-        pass
-    return tokenizer.quantize(best_z), OptimReport(evals, start)
+        result = minimize(squared, z.ravel(), method="L-BFGS-B", jac=True)
+        report = OptimReport(evals, start, "scipy", str(result.message))
+    except _Stop as stop:
+        report = OptimReport(evals, start, stop.args[0])
+    if report.stop == "settled":
+        return checked, report
+    return tokenizer.quantize(best_z), report
 
 
 # -- discrete search ---------------------------------------------------------

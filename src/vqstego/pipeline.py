@@ -384,6 +384,7 @@ def run_extract(cfg: PipelineConfig, image_path, text_path=None,
         "ecc_error": extracted.ecc_error,
         "final_loss": extracted.final_loss,
         "opt_steps": extracted.opt_report.steps_run,
+        "opt_stop": extracted.opt_report.stop,
     }
     if truth is not None:
         info.update(_recovery(extracted, key, *truth))

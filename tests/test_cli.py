@@ -67,6 +67,7 @@ class TestEmbedExtract:
         assert got == "1011001110001111" * 8
         info = json.loads((tmp_path / "extract_metrics.json").read_text())
         assert info["recovered_exact"] is True
+        assert info["opt_stop"] in ("settled", "cap", "scipy")
 
     def test_raw_bytes_message(self, fast_ini, tmp_path, capsys):
         msg = tmp_path / "binary.dat"

@@ -7,9 +7,8 @@ from vqstego.bits import BitString, StegoKey
 from vqstego.codec import sample_sequence
 from vqstego.ecc import (EccParams, _candidates, capacity_tau,
                          diff_tokens, ecc_decode, ecc_encode,
-                         position_cost_stats, proximity_rank,
-                         rank_comparison)
-from vqstego.errors import MalformedEcc, RankOverflow, ShapeMismatch
+                         position_cost_stats, rank_comparison)
+from vqstego.errors import MalformedEcc, ShapeMismatch
 from vqstego.token_model import Condition, ModelSpec, next_distribution
 from vqstego.vq import Codebook, build_codebook
 
@@ -22,6 +21,12 @@ PARAMS = EccParams.for_grid(576)  # L = 9
 def true_grid(seed=0, n=576):
     key = StegoKey(bytes([seed]) * 32)
     return sample_sequence(MODEL, COND, key, n, "ecc-test").reshape(-1)
+
+
+def candidate_rank(pos, wrong, true, prefix):
+    """The true token's index in the candidate order: its record's rank."""
+    order, _ = _candidates(pos, wrong, prefix, MODEL, COND, BOOK)
+    return int(np.flatnonzero(order == true)[0])
 
 
 def corrupt(grid, positions, rng):
@@ -89,35 +94,7 @@ class TestProximityRank:
         dist = np.linalg.norm(BOOK.vectors[d.token_ids]
                               - BOOK.vectors[wrong], axis=1)
         nearest = int(d.token_ids[np.lexsort((d.token_ids, dist))][0])
-        if nearest != wrong:
-            rank = proximity_rank(pos, wrong, nearest, g[:pos].tolist(),
-                                  MODEL, COND, BOOK, PARAMS)
-            assert rank == 0
-
-    def test_true_token_outside_support_overflows(self):
-        g = true_grid(3)
-        pos = 4
-        d = next_distribution(MODEL, COND, g[:pos].tolist(), pos)
-        missing = next(t for t in range(256) if t not in d.token_ids)
-        with pytest.raises(RankOverflow):
-            proximity_rank(pos, int(g[pos]), missing, g[:pos].tolist(),
-                           MODEL, COND, BOOK, PARAMS)
-
-    def test_rank_exceeding_lambda2_overflows(self):
-        g = true_grid(4)
-        pos = 6
-        params = EccParams(lambda1=8, lambda2=1, position_bits=9)
-        wrong = int(g[pos])
-        order, _ = _candidates(pos, wrong, g[:pos].tolist(), MODEL, COND,
-                               BOOK)
-        far = int(order[-1])  # rank len-1 >= 2 > 2^1 - 1
-        with pytest.raises(RankOverflow):
-            proximity_rank(pos, wrong, far, g[:pos].tolist(), MODEL, COND,
-                           BOOK, params)
-
-    def test_agreeing_tokens_rejected(self):
-        with pytest.raises(ValueError):
-            proximity_rank(0, 5, 5, [], MODEL, COND, BOOK, PARAMS)
+        assert candidate_rank(pos, wrong, nearest, g[:pos].tolist()) == 0
 
 
 class TestEncodeDecode:
@@ -131,8 +108,8 @@ class TestEncodeDecode:
         assert enc.record_list.positions == [24, 27, 35]
         assert enc.corrected_count == 3
         # each rank is taken against the corrected prefix, which is g[:pos]
-        ranks = [proximity_rank(pos, int(r[pos]), int(g[pos]),
-                                g[:pos].tolist(), MODEL, COND, BOOK, PARAMS)
+        ranks = [candidate_rank(pos, int(r[pos]), int(g[pos]),
+                                g[:pos].tolist())
                  for pos in (24, 27, 35)]
         fields = [(24, 9), (ranks[0], 8), (3, 8), (ranks[1], 8), (8, 8),
                   (ranks[2], 8)]
@@ -202,8 +179,8 @@ class TestEncodeDecode:
         for pos, fits in ((5, True), (12, True), (20, False)):
             recovered[pos] = next(
                 w for w in range(256) if w != g[pos]
-                and (proximity_rank(pos, w, int(g[pos]), g[:pos].tolist(),
-                                    MODEL, COND, BOOK, PARAMS) < 2) == fits)
+                and (candidate_rank(pos, w, int(g[pos]),
+                                    g[:pos].tolist()) < 2) == fits)
         self.assert_stops_at(g, recovered, params, stop=20, kept=[5, 12])
 
     def test_decode_round_trip_corrects_encoded_positions(self):

@@ -239,6 +239,7 @@ class TestFileRuns:
         for stage in ("grid_stage1", "grid_stage2", "grid_stage3"):
             assert np.array_equal(getattr(got, stage), getattr(want, stage))
         assert got.opt_report.steps_run == want.opt_report.steps_run
+        assert got.opt_report.stop == want.opt_report.stop == info["opt_stop"]
         assert got_message == want.message == message
         assert info["final_loss"] == want.final_loss == 0.0
 
