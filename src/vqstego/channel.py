@@ -25,6 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import MalformedInput
+from .workspace import FRESH, Workspace
 
 _SOFT_MARGIN = 0.01
 
@@ -175,8 +176,8 @@ def _windows(a: np.ndarray, axis: int, count: int, step: int,
                       strides=(step * a.strides[axis], *a.strides))
 
 
-def _apply_banded(bh: np.ndarray, bw: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
+def _apply_banded(bh: np.ndarray, bw: np.ndarray, x: np.ndarray,
+                  work: Workspace = FRESH) -> np.ndarray:
     """out[i,l,c] = ah[i,j] x[j,k,c] aw[l,k], in (H, C, W) memory, from
     bh = `_image_blocks(ah)` and bw = `_image_blocks(aw, transposed=True)`.
 
@@ -185,25 +186,34 @@ def _apply_banded(bh: np.ndarray, bw: np.ndarray,
     columns as a dense product would; OpenBLAS sums some column counts
     (e.g. W*C padded to 300) in another order. The output layout fixes the
     summation order of any norm taken over it.
+
+    The pads, whose borders are never written, the products and the output
+    are arrays of `work`, shared by every call of these shapes. `x` is read
+    whole before the output is written, so it may be that output.
     """
     h, w, c = x.shape
     n_blocks, bs, k = bh.shape
     band = (k - bs) // 2
-    pad = np.zeros((n_blocks * bs + 2 * band, c, w))
+    pad = work.zeros(("banded_pad_h", band, h),
+                     (n_blocks * bs + 2 * band, c, w))
     pad[band:band + h] = x.transpose(0, 2, 1)
-    y = bh @ _windows(pad.reshape(len(pad), -1), 0, n_blocks, bs, k)
+    y = np.matmul(bh, _windows(pad.reshape(len(pad), -1), 0, n_blocks, bs, k),
+                  out=work.empty("banded_h", (n_blocks, bs, c * w)))
 
     n_blocks, k, bs = bw.shape
     band = (k - bs) // 2
-    pad = np.zeros((h, c, n_blocks * bs + 2 * band))
+    pad = work.zeros(("banded_pad_w", band, w),
+                     (h, c, n_blocks * bs + 2 * band))
     pad[:, :, band:band + w] = y.reshape(-1, c, w)[:h]
     pad = pad.reshape(h * c, -1)
-    out = np.empty((h * c, n_blocks * bs))
+    out = work.empty("banded_w", (h * c, n_blocks * bs))
     np.matmul(_windows(pad, 1, n_blocks, bs, k), bw,
               out=_windows(out, 1, n_blocks, bs, bs))
     out = out.reshape(h, c, -1)
     if out.shape[2] != w:
-        out = np.ascontiguousarray(out[:, :, :w])
+        cut = work.empty("banded", (h, c, w))
+        cut[...] = out[:, :, :w]
+        out = cut
     return out.transpose(0, 2, 1)
 
 
@@ -235,14 +245,15 @@ def crop_windows(a: np.ndarray, top: np.ndarray, left: np.ndarray,
     return windows[top - t0, left - l0]
 
 
-def _quantize_values(x: np.ndarray, levels: int) -> np.ndarray:
+def _quantize_values(x: np.ndarray, levels: int,
+                     work: Workspace = FRESH) -> np.ndarray:
     """round((x + 1) / 2 * (L - 1)) / (L - 1) * 2 - 1 in four passes.
 
     Halving and doubling are exact in binary floating point, so scaling by
     h = (L - 1) / 2 rounds to the same doubles as the two-step form.
     """
     half = (levels - 1) / 2.0
-    y = x + 1.0
+    y = work.call("quantize", np.add, x, 1.0)
     y *= half
     np.round(y, out=y)
     y /= half
@@ -250,23 +261,28 @@ def _quantize_values(x: np.ndarray, levels: int) -> np.ndarray:
     return y
 
 
-def _soft_clip(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _soft_clip(x: np.ndarray, work: Workspace = FRESH
+               ) -> tuple[np.ndarray, np.ndarray | None]:
     """C1 clip: identity inside [-(1-m), 1-m], saturating to +-1 outside.
 
     Returns (y, dy). When no element lies outside the margin, y is x itself
     and dy is None (the identity Jacobian). Otherwise `exp` runs only on the
-    elements outside, and y and dy keep x's memory layout, which fixes the
-    summation order of any norm taken over them.
+    elements outside, and y and dy, arrays of `work`, keep x's memory
+    layout, which fixes the summation order of any norm taken over them.
     """
     m = _SOFT_MARGIN
-    if not (np.abs(x) > 1.0 - m).any():
+    # fmax and fmin skip NaN, as the test |x| > 1 - m does
+    if not (np.fmax.reduce(x, axis=None, initial=-np.inf) > 1.0 - m
+            or np.fmin.reduce(x, axis=None, initial=np.inf) < -(1.0 - m)):
         return x, None
-    y = x.copy(order="K")
-    dy = np.ones_like(y)
-    # y and dy are dense with equal strides, so their memory-order flat
-    # forms are views that index the same elements
+    y = work.like("clip", x)
+    y[...] = x
+    dy = work.like("clip_slope", x)
+    dy.fill(1.0)
+    # x is dense, and y, dy and absx take its strides, so their memory-order
+    # flat forms are views that index the same elements
     flat_y, flat_dy = y.ravel(order="K"), dy.ravel(order="K")
-    absx = np.abs(flat_y)
+    absx = np.abs(flat_y, out=work.like("clip_abs", x).ravel(order="K"))
     idx = np.flatnonzero(absx > 1.0 - m)
     # far outside, the exponent overflows to -inf and decay is exactly 0
     with np.errstate(over="ignore"):
@@ -286,8 +302,8 @@ class _AddNoise:
     noise: np.ndarray       # sigma times the frozen Gaussian field
     band = 0
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x + self.noise
+    def forward(self, x: np.ndarray, work: Workspace = FRESH) -> np.ndarray:
+        return work.call("noise", np.add, x, self.noise)
 
     def forward_windows(self, x: np.ndarray, top: np.ndarray,
                         left: np.ndarray) -> np.ndarray:
@@ -299,8 +315,8 @@ class _Quantize:
     levels: int
     band = 0
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return _quantize_values(x, self.levels)
+    def forward(self, x: np.ndarray, work: Workspace = FRESH) -> np.ndarray:
+        return _quantize_values(x, self.levels, work)
 
     def forward_windows(self, x: np.ndarray, top: np.ndarray,
                         left: np.ndarray) -> np.ndarray:
@@ -322,11 +338,11 @@ class _Rescale:
     pullback_h: np.ndarray
     pullback_w: np.ndarray
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return _apply_banded(self.forward_h, self.forward_w, x)
+    def forward(self, x: np.ndarray, work: Workspace = FRESH) -> np.ndarray:
+        return _apply_banded(self.forward_h, self.forward_w, x, work)
 
-    def pullback(self, g: np.ndarray) -> np.ndarray:
-        return _apply_banded(self.pullback_h, self.pullback_w, g)
+    def pullback(self, g: np.ndarray, work: Workspace = FRESH) -> np.ndarray:
+        return _apply_banded(self.pullback_h, self.pullback_w, g, work)
 
     def forward_windows(self, x: np.ndarray, top: np.ndarray,
                         left: np.ndarray) -> np.ndarray:
@@ -380,10 +396,13 @@ class ChannelPlan:
         every other stage is elementwise."""
         return sum(op.band for op in self.ops)
 
-    def run(self, image: np.ndarray) -> np.ndarray:
+    def run(self, image: np.ndarray, work: Workspace = FRESH) -> np.ndarray:
+        """The stages in order. Each op's output is an array of `work`, so
+        an op that follows one of its kind on the same layout writes in
+        place."""
         x = np.asarray(image, dtype=np.float64)
         for op in self.ops:
-            x = op.forward(x)
+            x = op.forward(x, work)
         return x
 
     def run_windows(self, windows: np.ndarray, top: np.ndarray,
@@ -403,11 +422,15 @@ class ChannelPlan:
             top, left = top + op.band, left + op.band
         return x
 
-    def smooth(self,
-               image: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        x = self.run(image)
-        # with no stages, x may be the caller's array; never hand it back
-        return _soft_clip(x if self.ops else x.copy(order="K"))
+    def smooth(self, image: np.ndarray, work: Workspace = FRESH
+               ) -> tuple[np.ndarray, np.ndarray | None]:
+        x = self.run(image, work)
+        if not self.ops:
+            # x may be the caller's array; never hand it back
+            copy = work.like("copy", x)
+            copy[...] = x
+            x = copy
+        return _soft_clip(x, work)
 
 
 # a run needs one plan, which the sender's simulation, the channel and the
@@ -476,20 +499,26 @@ def apply_smooth(spec: ChannelSpec, image: np.ndarray) -> np.ndarray:
     return _plan(spec, image).smooth(image)[0]
 
 
-def apply_smooth_with_tape(spec: ChannelSpec,
-                           image: np.ndarray) -> tuple[np.ndarray, Tape]:
+def apply_smooth_with_tape(spec: ChannelSpec, image: np.ndarray,
+                           work: Workspace = FRESH
+                           ) -> tuple[np.ndarray, Tape]:
+    """`apply_smooth` plus what `backward` needs. The output and the tape
+    hold arrays of `work`; a `backward` with the same `work` may overwrite
+    the output, but reads the tape first."""
     plan = _plan(spec, image)
-    out, clip_grad = plan.smooth(image)
+    out, clip_grad = plan.smooth(image, work)
     return out, Tape(plan, clip_grad)
 
 
-def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
+def backward(tape: Tape, grad_out: np.ndarray,
+             work: Workspace = FRESH) -> np.ndarray:
     """Pull an output-space gradient back to the channel input.
 
     Where the channel's Jacobian is the identity, grad_out itself is
-    returned.
+    returned; otherwise the result is an array of `work`.
     """
-    g = grad_out if tape.clip_grad is None else grad_out * tape.clip_grad
+    g = (grad_out if tape.clip_grad is None
+         else work.call("clip_grad", np.multiply, grad_out, tape.clip_grad))
     for op in tape.plan.pullbacks:
-        g = op.pullback(g)
+        g = op.pullback(g, work)
     return g

@@ -18,6 +18,7 @@ token grid has a hard loss of exactly zero.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import NonFiniteLoss, ShapeMismatch
 from .token_model import (Condition, ModelSpec, context_before,
                           next_distribution)
 from .vq import Tokenizer
+from .workspace import FRESH, Workspace
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,10 @@ class OptimConfig:
             raise ValueError("require steps >= 1")
 
 
-# evaluations between two quantizations of the solve's best point: one
-# quantize costs about seven evaluations
+# evaluations between two quantizations of the solve's best point. A check
+# costs about 1.3 evaluations: median 0.76-0.81 ms against 0.60-0.63 ms per
+# call over noisy-roundtrip operations, at one or two BLAS threads. A
+# smaller value would change the evaluation counts every solve reports.
 CHECK_EVERY = 10
 
 
@@ -72,22 +76,40 @@ def loss(latents: np.ndarray, received: np.ndarray, spec: ChannelSpec,
 
 def loss_and_gradient(latents: np.ndarray, received: np.ndarray,
                       spec: ChannelSpec, tokenizer: Tokenizer,
-                      ) -> tuple[float, np.ndarray]:
-    """Analytic gradient via the chain rule; matches central differences."""
-    decoded, cells = tokenizer.decode_continuous(latents, with_cells=True)
+                      work: Workspace = FRESH) -> tuple[float, np.ndarray]:
+    """Analytic gradient via the chain rule; matches central differences.
+
+    The image-sized temporaries are arrays of `work`, which a caller that
+    evaluates many times at one shape keeps; the gradient is a new array.
+    """
+    decoded, cells = tokenizer.decode_continuous(latents, True, work)
     if decoded.shape != received.shape:
         raise ShapeMismatch(f"{decoded.shape} vs {received.shape}")
-    out, tape = chan.apply_smooth_with_tape(spec, decoded)
-    residual = received - out
+    out, tape = chan.apply_smooth_with_tape(spec, decoded, work)
+    residual = work.call("residual", np.subtract, received, out)
     value = _norm(residual)
     if value == 0.0:
         return 0.0, np.zeros_like(latents)
-    grad_out = -residual / value
-    grad_decoded = chan.backward(tape, grad_out)
+    # the gradient of the norm, -residual / value, in the residual's array
+    grad_out = np.negative(residual, out=residual)
+    grad_out /= value
+    grad_decoded = chan.backward(tape, grad_out, work)
     # a huge decoder alpha and weight can overflow the gradient of an
     # unsaturated cell; `optimize_tokens` raises on a non-finite gradient
     with np.errstate(over="ignore"):
-        return value, tokenizer.grad_latents(grad_decoded, cells)
+        return value, tokenizer.grad_latents(grad_decoded, cells, work)
+
+
+# The image-sized arrays of the evaluations and checks, one set per thread
+# and image shape, kept between solves: a process touches their pages once,
+# whatever its allocator does with freed memory.
+_workspaces = threading.local()
+
+
+def _workspace(shape: tuple) -> Workspace:
+    if getattr(_workspaces, "shape", None) != shape:
+        _workspaces.shape, _workspaces.work = shape, Workspace()
+    return _workspaces.work
 
 
 class _Stop(Exception):
@@ -107,8 +129,6 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
     `loss_and_gradient`.
     """
     z = tokenizer.encode(received)
-    # before the solve: freeing quantize's large temporary raises glibc's
-    # malloc thresholds, so the solve's arrays reuse heap pages
     start = tokenizer.quantize(z)
     # `_norm` sums in an order set by the memory layout, so `received` takes
     # the smooth channel output's layout, (H, C, W) after a rescale: the
@@ -118,6 +138,7 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
         chan.apply_smooth(spec, tokenizer.decode_continuous(z)))
     aligned[...] = received
     received = aligned
+    work = _workspace(received.shape)
     evals = 0
     best_value, best_z = np.inf, z
     checked = None  # the grid of the last check
@@ -129,7 +150,8 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
         if evals == config.steps:
             raise _Stop("cap")
         latents = x.reshape(z.shape)
-        value, g = loss_and_gradient(latents, received, spec, tokenizer)
+        value, g = loss_and_gradient(latents, received, spec, tokenizer,
+                                     work)
         evals += 1
         if not np.isfinite(value):
             raise NonFiniteLoss(f"loss diverged at evaluation {evals}")
@@ -142,7 +164,7 @@ def optimize_tokens(received: np.ndarray, spec: ChannelSpec,
         if value < best_value:
             best_value, best_z = value, latents.copy()
         if evals % CHECK_EVERY == 0:
-            grid = tokenizer.quantize(best_z)
+            grid = tokenizer.quantize(best_z, work)
             if checked is not None and np.array_equal(grid, checked):
                 raise _Stop("settled")
             checked = grid

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -221,6 +222,7 @@ class RunMetrics:
     recovered_exact: bool
     final_loss: float
     opt_steps: int
+    opt_stop: str | None    # `OptimReport.stop` of the receiver's solve
     text_payload_bits: int | None = None
     text_capacity_bits: int | None = None
     ecc_corrected: int | None = None
@@ -280,6 +282,7 @@ def score_run(pipe: Pipeline, key: StegoKey, embedded: EmbedResult,
         **_recovery(extracted, key, true_message, embedded.grid),
         final_loss=extracted.final_loss,
         opt_steps=extracted.opt_report.steps_run,
+        opt_stop=extracted.opt_report.stop,
         **_stream_sizes(embedded),
         ecc_position_stats=ecc_stats,
         max_tokens=pipe.cfg.max_tokens,
@@ -415,6 +418,7 @@ def _sweep_worker(args) -> dict:
                          embedded_bits=0, r_q_stage1=0.0, r_q_stage2=0.0,
                          r_q_stage3=0.0, cap=0, recovered_exact=False,
                          final_loss=float("nan"), opt_steps=0,
+                         opt_stop=None,
                          error=f"{type(exc).__name__}: {exc}").to_dict()
     row["variant"] = label
     return row
@@ -473,6 +477,9 @@ def run_sweep(cfg: PipelineConfig, channels=None, max_tokens=None,
                 arr = np.array(values, dtype=float)
                 agg[f"{field_name}_mean"] = float(arr.mean())
                 agg[f"{field_name}_std"] = float(arr.std())
+        stops = Counter(r["opt_stop"] for r in got)
+        agg["opt_stop"] = ",".join(f"{stop}:{n}"
+                                   for stop, n in sorted(stops.items()))
         aggregates.append(agg)
     return {"rows": rows, "aggregates": aggregates,
             "table": format_table(aggregates)}

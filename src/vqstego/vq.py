@@ -18,6 +18,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import (DegenerateCodebook, IndexOutOfRange, MalformedInput,
                      ShapeMismatch)
+from .workspace import FRESH, Workspace
 
 _MAGIC = b"VQI2"
 _ATANH_EPS = 1e-6
@@ -89,23 +90,28 @@ class Tokenizer:
             raise IndexOutOfRange("token index outside the codebook")
         return grid
 
-    def decode_continuous(self, latents: np.ndarray, with_cells: bool = False
+    def decode_continuous(self, latents: np.ndarray, with_cells: bool = False,
+                          work: Workspace = FRESH
                           ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Affine map plus tanh squashing on raw latent vectors.
 
         With `with_cells`, also returns the tanh output in cell layout,
-        (cells, p*p*C), which `grad_latents` takes.
+        (cells, p*p*C), which `grad_latents` takes. Both results are arrays
+        of `work`.
         """
         h, w, p = self.grid_h, self.grid_w, self.patch
         if latents.shape != (h, w, self.codebook.dim):
             raise ShapeMismatch(f"latents {latents.shape}")
-        pre = latents.reshape(h * w, -1) @ self.weight.T + self.bias
+        pre = work.call("pre", np.matmul, latents.reshape(h * w, -1),
+                        self.weight.T)
+        pre += self.bias
         # tanh saturates to +-1 long before alpha * pre overflows to +-inf
         with np.errstate(over="ignore"):
-            x = np.tanh(self.alpha * pre)
-        image = (x.reshape(h, w, p, p, _CHANNELS)
-                  .transpose(0, 2, 1, 3, 4)
-                  .reshape(h * p, w * p, _CHANNELS))
+            pre *= self.alpha
+        x = np.tanh(pre, out=pre)
+        image = work.empty("image", self.image_shape)
+        image.reshape(h, p, w, p, _CHANNELS)[...] = (
+            x.reshape(h, w, p, p, _CHANNELS).transpose(0, 2, 1, 3, 4))
         return (image, x) if with_cells else image
 
     @cached_property
@@ -129,13 +135,16 @@ class Tokenizer:
                     .transpose(0, 2, 1, 3, 4)
                     .reshape(h * p, w * p, _CHANNELS))
 
-    def _patches(self, image: np.ndarray) -> np.ndarray:
+    def _patches(self, image: np.ndarray,
+                 work: Workspace = FRESH) -> np.ndarray:
+        """`image` in cell layout, (cells, p*p*C), C-order."""
         h, w, p = self.grid_h, self.grid_w, self.patch
         if image.shape != self.image_shape:
             raise ShapeMismatch(f"image {image.shape} != {self.image_shape}")
-        return (image.reshape(h, p, w, p, _CHANNELS)
-                     .transpose(0, 2, 1, 3, 4)
-                     .reshape(h * w, p * p * _CHANNELS))
+        patches = work.empty("patches", (h * w, p * p * _CHANNELS))
+        patches.reshape(h, w, p, p, _CHANNELS)[...] = (
+            image.reshape(h, p, w, p, _CHANNELS).transpose(0, 2, 1, 3, 4))
+        return patches
 
     def encode(self, image: np.ndarray) -> np.ndarray:
         """Closed-form inverse of decode_continuous (clamped atanh + pinv)."""
@@ -145,28 +154,83 @@ class Tokenizer:
         z = (u - self.bias) @ self.weight_pinv.T
         return z.reshape(self.grid_h, self.grid_w, self.codebook.dim)
 
-    def grad_latents(self, image_grad: np.ndarray,
-                     cells: np.ndarray) -> np.ndarray:
+    def grad_latents(self, image_grad: np.ndarray, cells: np.ndarray,
+                     work: Workspace = FRESH) -> np.ndarray:
         """Chain image-space gradient back through tanh and the affine map.
 
         `cells` is the decoder's cell-layout tanh output, from
-        `decode_continuous(latents, with_cells=True)`.
+        `decode_continuous(latents, with_cells=True)`. The temporaries are
+        arrays of `work`; the result is a new array.
         """
-        patches_g = self._patches(image_grad)
-        pre_g = patches_g * self.alpha * (1.0 - cells * cells)
+        pre_g = self._patches(image_grad, work)
+        pre_g *= self.alpha
+        slope = work.call("slope", np.multiply, cells, cells)
+        np.subtract(1.0, slope, out=slope)
+        pre_g *= slope
         return (pre_g @ self.weight).reshape(
             self.grid_h, self.grid_w, self.codebook.dim)
 
-    def quantize(self, latents: np.ndarray) -> np.ndarray:
-        """Nearest codebook row per cell; ties resolve to the lowest index."""
-        h, w = self.grid_h, self.grid_w
-        if latents.shape != (h, w, self.codebook.dim):
+    @cached_property
+    def _expansion(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """-2 E^T, each row's squared norm and the largest row norm, for
+        `quantize`'s expansion; built on first use."""
+        vectors = self.codebook.vectors
+        minus_two_t = np.ascontiguousarray(-2.0 * vectors.T)
+        squares = np.einsum("ij,ij->i", vectors, vectors)
+        minus_two_t.flags.writeable = squares.flags.writeable = False
+        return minus_two_t, squares, float(np.sqrt(squares.max()))
+
+    def quantize(self, latents: np.ndarray,
+                 work: Workspace = FRESH) -> np.ndarray:
+        """Nearest codebook row per cell; ties resolve to the lowest index.
+
+        The nearest row is `argmin ((z - E)**2).sum(axis=1)`, this broadcast
+        form as computed in floating point. A cheap pass first takes
+        A(e) = ||e||^2 - 2 z.e for every row e with one einsum. (Not BLAS:
+        a BLAS product of this size runs on two threads, and stalls when
+        the second finds no free CPU.)
+
+        A(e) + ||z||^2 differs from the exact squared distance by at most
+        g_{d+1} M, and the broadcast form by at most g_{d+2} M, for any
+        summation order of the product, where M = (||z|| + max ||e||)^2,
+        g_n = n u / (1 - n u) and u = eps / 2. So the broadcast form's
+        argmin lies among the rows whose A is within 2 g_{d+1} M +
+        2 g_{d+2} M of the smallest A; the bound taken, 4 g_{d+3} M, also
+        covers the rounding of the threshold. A cell with one such row
+        takes it; every other cell, a near-tie or one whose bound
+        overflows, takes the broadcast form's argmin over the whole
+        codebook, so the result equals that form's for any d. The
+        (cells x tokens) temporaries are arrays of `work`.
+        """
+        h, w, d = self.grid_h, self.grid_w, self.codebook.dim
+        if latents.shape != (h, w, d):
             raise ShapeMismatch(f"latents {latents.shape}")
         if not np.all(np.isfinite(latents)):
             raise ValueError("latents must be finite")
-        flat = latents.reshape(h * w, 1, -1)
-        d2 = ((flat - self.codebook.vectors[None, :, :]) ** 2).sum(axis=2)
-        return d2.argmin(axis=1).reshape(h, w)
+        flat = latents.reshape(h * w, d)
+        minus_two_t, squares, longest = self._expansion
+        u = np.finfo(np.float64).eps / 2
+        gamma = (d + 3) * u / (1 - (d + 3) * u)
+        # huge latents overflow the bound: such cells take the exact pass
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = np.einsum("ij,jk->ik", flat, minus_two_t,
+                               out=work.empty("approx", (h * w, len(squares))))
+            approx += squares
+            nearest = approx.argmin(axis=1)
+            cells = np.arange(h * w)
+            norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+            limit = (approx[cells, nearest]
+                     + 4 * gamma * (norms + longest) ** 2)
+            # a NaN limit counts no row and an infinite one every row
+            near = np.count_nonzero(
+                work.call("near", np.less_equal, approx, limit[:, None]),
+                axis=1)
+        exact = np.flatnonzero(near != 1)
+        if len(exact):
+            d2 = ((flat[exact, None, :] - self.codebook.vectors[None, :, :])
+                  ** 2).sum(axis=2)
+            nearest[exact] = d2.argmin(axis=1)
+        return nearest.reshape(h, w)
 
 
 def build_tokenizer(decoder_seed: int, codebook: Codebook, patch: int,

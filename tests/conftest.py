@@ -5,6 +5,7 @@ from vqstego.bits import StegoKey
 from vqstego.config import default_config
 from vqstego.pipeline import Pipeline
 from vqstego.token_model import Distribution
+from vqstego.workspace import Workspace
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +35,18 @@ def two_token_dist():
 
 def uniform_dist(n):
     return Distribution(np.arange(n), np.full(n, 1.0 / n))
+
+
+class PoisonedWorkspace(Workspace):
+    """A workspace whose uninitialised arrays read NaN on every request,
+    so a value read before it is written shows in the result."""
+
+    def empty(self, name, shape):
+        a = super().empty(name, shape)
+        a.fill(np.nan)
+        return a
+
+    def like(self, name, a):
+        out = super().like(name, a)
+        out.fill(np.nan)
+        return out

@@ -10,6 +10,8 @@ from vqstego.channel import (ChannelSpec, GaussianStage, QuantizeStage,
                              RescaleStage, parse_channel)
 from vqstego.errors import MalformedInput
 
+from conftest import PoisonedWorkspace
+
 
 def rand_image(seed=0, scale=0.5, shape=(96, 96, 3)):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -427,6 +429,22 @@ class TestBanded:
         assert np.max(np.abs(got - want)) <= 1e-15
         # (H, C, W) memory, the layout the dense tensordot produced
         assert got.transpose(0, 2, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("h, w", SHAPES)
+    def test_workspace_changes_nothing(self, factor, h, w):
+        # forward and pullback share the workspace's pads and output; the
+        # second pair of calls reuses the arrays the first made
+        rescale, = chan.compile_channel(ChannelSpec((RescaleStage(factor),)),
+                                        (h, w, 3)).ops
+        work = PoisonedWorkspace()
+        for seed in (14, 15):
+            x = rand_image(seed, scale=1.0, shape=(h, w, 3))
+            for run in (rescale.forward, rescale.pullback):
+                want = run(x)
+                got = run(x, work)
+                assert np.array_equal(got, want)
+                assert got.strides == want.strides
 
     @pytest.mark.parametrize("factor, band", [(0.5, 2), (2.0, 1)])
     def test_bandwidth(self, factor, band):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,9 @@ from vqstego.optimizer import (OptimConfig, loss, loss_and_gradient,
 from vqstego.pipeline import Pipeline, derive_key, embed_message
 from vqstego.token_model import Condition, condition_from_key
 from vqstego.vq import Codebook, build_codebook, build_tokenizer
+from vqstego.workspace import FRESH, Workspace
+
+from conftest import PoisonedWorkspace
 
 LOSSLESS = ChannelSpec()
 
@@ -284,6 +288,93 @@ class TestOptimize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimConfig(steps=0)
+
+
+# criterion 4's eight channels, the lossless one, the benchmark's composite
+# and quantizers coarse enough that the soft clip saturates, on C-order
+# memory and, after a rescale, on (H, C, W) memory
+BUFFERED_CHANNELS = ["lossless", "gaussian:0.005", "gaussian:0.01",
+                     "gaussian:0.02", "quantize:64", "quantize:32",
+                     "quantize:16", "rescale:0.5", "rescale:2",
+                     "gaussian:0.01,quantize:32,rescale:0.5", "quantize:3",
+                     "rescale:0.5,quantize:3"]
+
+
+class TestWorkspace:
+    """An evaluation that reuses a workspace's arrays computes what one
+    that allocates them does, bit for bit."""
+
+    @pytest.mark.parametrize("spec_text", BUFFERED_CHANNELS)
+    def test_evaluation_is_bit_identical(self, tokenizer, spec_text):
+        spec = parse_channel(spec_text, 3)
+        _, z, img = true_setup(tokenizer, 14)
+        received = chan.apply(spec, img)
+        # the solve's received image takes the smooth output's layout; with
+        # a C-order one the residual takes numpy's layout for mixed operands
+        aligned = np.empty_like(chan.apply_smooth(spec, img))
+        aligned[...] = received
+        rng = np.random.Generator(np.random.PCG64(15))
+        work = PoisonedWorkspace()
+        # the first call makes the arrays, the later ones write into them
+        for _ in range(3):
+            x = z + 0.3 * rng.standard_normal(z.shape)
+            for r in (aligned, np.ascontiguousarray(received)):
+                want = loss_and_gradient(x, r, spec, tokenizer)
+                got = loss_and_gradient(x, r, spec, tokenizer, work)
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("spec_text", BUFFERED_CHANNELS)
+    def test_solve_is_bit_identical(self, tokenizer, monkeypatch,
+                                    spec_text):
+        spec = parse_channel(spec_text, 4)
+        _, _, img = true_setup(tokenizer, 16)
+        received = chan.apply(spec, img)
+        runs = []
+        for work in (PoisonedWorkspace(), FRESH):
+            monkeypatch.setattr(optimizer, "_workspace",
+                                lambda shape, work=work: work)
+            points = []
+            values = capture_losses(monkeypatch, points)
+            grid, report = optimize_tokens(received, spec, tokenizer,
+                                           OptimConfig(steps=300))
+            runs.append((grid, report, values, points))
+        (grid_a, rep_a, values_a, points_a), (grid_b, rep_b, values_b,
+                                              points_b) = runs
+        assert np.array_equal(grid_a, grid_b)
+        assert np.array_equal(rep_a.start, rep_b.start)
+        assert (rep_a.steps_run, rep_a.stop, rep_a.message) == \
+            (rep_b.steps_run, rep_b.stop, rep_b.message)
+        assert values_a == values_b
+        assert all(np.array_equal(a, b) for a, b in zip(points_a, points_b))
+
+    def test_gradients_are_not_aliased(self, tokenizer):
+        spec = parse_channel("gaussian:0.01,quantize:32,rescale:0.5", 5)
+        _, z, img = true_setup(tokenizer, 17)
+        received = chan.apply(spec, img)
+        work = Workspace()
+        _, g1 = loss_and_gradient(z + 0.1, received, spec, tokenizer, work)
+        kept = g1.copy()
+        _, g2 = loss_and_gradient(z - 0.1, received, spec, tokenizer, work)
+        assert not np.shares_memory(g1, g2)
+        assert np.array_equal(g1, kept) and not np.array_equal(g1, g2)
+
+    def test_evaluation_allocates_less_than_an_image(self, tokenizer):
+        spec = parse_channel("gaussian:0.01,quantize:32,rescale:0.5", 6)
+        _, z, img = true_setup(tokenizer, 18)
+        received = np.empty_like(chan.apply_smooth(spec, img))
+        received[...] = chan.apply(spec, img)
+        work = Workspace()
+        loss_and_gradient(z, received, spec, tokenizer, work)
+        tracemalloc.start()
+        try:
+            loss_and_gradient(z, received, spec, tokenizer, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 96 x 96 x 3 float64 image is 221,184 bytes; the gradient
+        # returned is 36,864
+        assert peak < img.nbytes
 
 
 def hard_loss_sq(grid, received, spec, tok):

@@ -148,6 +148,24 @@ class TestBenchmarkRun:
         assert m.r_q_stage2 == 100.0
         assert m.final_loss == 0.0
 
+    def test_opt_stop_is_the_receiver_solve_stop(self, monkeypatch):
+        cfg = replace(default_config(), channel=chan.parse_channel(
+            "gaussian:0.01,quantize:32,rescale:0.5", 0))
+        reports = []
+        solve = pipeline.optimize_tokens
+
+        def recorded(*args):
+            grid, report = solve(*args)
+            reports.append(report)
+            return grid, report
+
+        monkeypatch.setattr(pipeline, "optimize_tokens", recorded)
+        m = benchmark_run(cfg, seed=2)
+        # the sender's simulation solves first, then the receiver
+        assert len(reports) == 2
+        assert m.opt_steps == reports[-1].steps_run
+        assert m.opt_stop == reports[-1].stop == "settled"
+
     def test_deterministic(self, fast_cfg):
         a = benchmark_run(fast_cfg, seed=3, message_bits=100)
         b = benchmark_run(fast_cfg, seed=3, message_bits=100)
@@ -267,6 +285,19 @@ class TestSweep:
         assert agg["n"] == 1 and agg["failed"] == 0
         assert agg["r_q_stage2_mean"] == 100.0
         assert "variant" in result["table"].splitlines()[0]
+        # the lossless start is exact, so L-BFGS-B returns on its own
+        assert row["opt_stop"] == "scipy"
+        assert agg["opt_stop"] == "scipy:1"
+        assert "opt_stop" in result["table"].splitlines()[0]
+
+    def test_stop_reasons_counted_per_variant(self, fast_cfg):
+        result = run_sweep(fast_cfg, channels=["gaussian:0.02"], n_seeds=2,
+                           message_bits=100)
+        stops = [row["opt_stop"] for row in result["rows"]]
+        assert set(stops) <= {"settled", "cap", "scipy"}
+        (agg,) = result["aggregates"]
+        assert agg["opt_stop"] == ",".join(
+            f"{stop}:{stops.count(stop)}" for stop in sorted(set(stops)))
 
     def test_parallel_rows_match_serial(self, fast_cfg, monkeypatch):
         # two workers even on a one-CPU machine, so the pool path runs
@@ -283,7 +314,9 @@ class TestSweep:
         (row,) = result["rows"]
         assert row["error"] is not None
         assert "CapacityExceeded" in row["error"]
+        assert row["opt_stop"] is None
         assert result["aggregates"][0]["failed"] == 1
+        assert result["aggregates"][0]["opt_stop"] == ""
 
     def test_worker_count_clamped(self):
         assert worker_count(1, 10, 8) == 1

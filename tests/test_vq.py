@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -224,6 +225,103 @@ class TestQuantize:
             for j in range(2):
                 d2 = ((book - z[i, j]) ** 2).sum(axis=1)
                 assert d2[got[i, j]] == d2.min()
+
+
+def broadcast_nearest(book: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The nearest row as the broadcast form computes it, ties low."""
+    d2 = ((z.reshape(-1, 1, book.shape[1]) - book[None]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1).reshape(z.shape[:2])
+
+
+def dim_tokenizer(d: int, seed: int, grid=(3, 3)):
+    """A tokenizer over a unit-RMS codebook of dimension d; at d = 1 the
+    only two such rows are +1 and -1."""
+    if d == 1:
+        book = Codebook(vectors=np.array([[1.0], [-1.0]]), min_distance=2.0)
+    else:
+        book = build_codebook(seed, 64, d)
+    return build_tokenizer(11, book, 4, grid[0], grid[1], 0.08, 1.0)
+
+
+@st.composite
+def latents_near_ties(draw):
+    """A tokenizer and latents that often sit on or near a tie between
+    codebook rows: zero (every unit-RMS row equidistant in exact
+    arithmetic), midpoints of two rows, the rows themselves, rows moved by
+    a few ulps, and plain random latents of any scale."""
+    d = draw(st.sampled_from([1, 3, 8, 17]))
+    tok = dim_tokenizer(d, draw(st.integers(0, 2**16)))
+    book = tok.codebook.vectors
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32))))
+    a, b = rng.integers(0, len(book), (2, 3, 3))
+    kind = draw(st.sampled_from(["zero", "midpoint", "row", "ulps",
+                                 "random"]))
+    if kind == "zero":
+        z = np.zeros((3, 3, d))
+    elif kind == "midpoint":
+        z = (book[a] + book[b]) / 2
+    elif kind == "row":
+        z = book[a].copy()
+    elif kind == "ulps":
+        z = (book[a] + book[b]) / 2
+        z = np.nextafter(z, z + rng.choice([-1.0, 1.0], z.shape))
+    else:
+        z = rng.standard_normal((3, 3, d)) * 10.0 ** draw(st.integers(-8, 8))
+    return tok, z
+
+
+class TestExactQuantize:
+    """`quantize` takes a cheap expansion first and re-checks near-ties with
+    the broadcast form; the result must equal that form's argmin."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(latents_near_ties())
+    def test_equals_the_broadcast_form(self, case):
+        tok, z = case
+        assert np.array_equal(tok.quantize(z),
+                              broadcast_nearest(tok.codebook.vectors, z))
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 17])
+    def test_zero_latents_tie_on_every_row(self, d):
+        # every cell is a near-tie, so every cell takes the exact pass
+        tok = dim_tokenizer(d, 5)
+        z = np.zeros((3, 3, d))
+        assert np.array_equal(tok.quantize(z),
+                              broadcast_nearest(tok.codebook.vectors, z))
+
+    def test_huge_latents_take_the_exact_pass_quietly(self):
+        # an accepted tiny alpha gives latents near 1e150, whose bound
+        # overflows; the suite turns an overflow warning into an error
+        tok = small_tokenizer(bias_scale=2.1, alpha=1e-150)
+        for row in np.sign(tok.weight_pinv):
+            patch = np.repeat(row[None], 16, axis=0).reshape(4, 4, 4, 4, 3)
+            z = tok.encode(patch.transpose(0, 2, 1, 3, 4).reshape(16, 16, 3))
+            assert np.abs(z).max() > 1e140
+            assert np.array_equal(tok.quantize(z),
+                                  broadcast_nearest(tok.codebook.vectors, z))
+
+    def test_default_grid_matches_on_noisy_latents(self, tokenizer):
+        rng = np.random.Generator(np.random.PCG64(8))
+        book = tokenizer.codebook.vectors
+        grid = rng.integers(0, 256, (24, 24))
+        for scale in (0.0, 1e-12, 1e-3, 0.3, 3.0):
+            z = book[grid] + scale * rng.standard_normal((24, 24, 8))
+            assert np.array_equal(tokenizer.quantize(z),
+                                  broadcast_nearest(book, z))
+
+    def test_peak_memory_of_one_call(self, tokenizer):
+        # the broadcast form over all 576 x 256 x 8 differences peaked near
+        # 19 MB; the expansion's largest temporary is 576 x 256 doubles
+        rng = np.random.Generator(np.random.PCG64(9))
+        z = rng.standard_normal((24, 24, 8))
+        tokenizer.quantize(z)  # builds the cached expansion
+        tracemalloc.start()
+        try:
+            tokenizer.quantize(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 @st.composite
